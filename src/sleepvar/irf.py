@@ -10,6 +10,15 @@ refit, recompute the response tensor, and take elementwise percentiles.
 Each replication draws from its own counter-based substream, so the result
 is bit-identical for a given seed regardless of scheduling, and replication
 r's draws do not change when the replication count grows.
+
+The refits run in stacks of replications.  Each stack's lagged designs
+come from the estimator's own builder; one QR per augmented matrix
+[X | Y], made in one LAPACK call per stack, gives the coefficients and
+residual cross-products.  The MA recursion then runs over the whole stack.
+Stacks hold about :data:`REFIT_STACK_BYTES` of design, which bounds
+memory; a replication's draws do not depend on the stack it lands in, nor
+on the BLAS thread count.  A rank-deficient or non-positive-definite refit is
+masked and counted in ``IrfResult.n_failed``.
 """
 
 from __future__ import annotations
@@ -18,14 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, SingularDesignError
-from .linalg import cholesky_lower, solve_least_squares
+from .errors import DataError, NotPositiveDefiniteError, NumericError
+from .linalg import cholesky_lower, solve_stacked_least_squares
 from .simulate import DEFAULT_BURN_IN, iterate_paths, substream
-from .var import VarFit
+from .var import VarFit, _lagged_design
 
 INNOVATION_MODES = ("gaussian", "empirical")
 MIN_REPLICATIONS = 100
 MAX_REFIT_FAILURE_RATE = 0.01
+# Augmented design bytes per stack of refits (16 replications on the
+# bundled data): bounds the working set, never the results.
+REFIT_STACK_BYTES = 3 << 20
 
 
 @dataclass(frozen=True)
@@ -41,6 +53,21 @@ class IrfResult:
     replications: int
     seed: int
     var_names: tuple[str, ...]
+    n_failed: int = 0                # refits masked out of the bands
+    failures: tuple[str, ...] = ()   # reasons of the first few failures
+
+
+def _ma_recursion(coef: np.ndarray, horizon: int) -> np.ndarray:
+    """Phi_0..Phi_horizon for lag stacks ``coef`` of shape (..., p, K, K)."""
+    *batch, p, k, _ = coef.shape
+    phi = np.empty((*batch, horizon + 1, k, k))
+    phi[..., 0, :, :] = np.eye(k)
+    for h in range(1, horizon + 1):
+        acc = np.zeros((*batch, k, k))
+        for i in range(1, min(h, p) + 1):
+            acc += phi[..., h - i, :, :] @ coef[..., i - 1, :, :]
+        phi[..., h, :, :] = acc
+    return phi
 
 
 def ma_coefficients(fit: VarFit, horizon: int) -> np.ndarray:
@@ -51,15 +78,7 @@ def ma_coefficients(fit: VarFit, horizon: int) -> np.ndarray:
     """
     if horizon < 0:
         raise DataError(f"horizon must be non-negative, got {horizon}")
-    k = fit.n_vars
-    phi = np.empty((horizon + 1, k, k))
-    phi[0] = np.eye(k)
-    for h in range(1, horizon + 1):
-        acc = np.zeros((k, k))
-        for i in range(1, min(h, fit.p) + 1):
-            acc += phi[h - i] @ fit.coef[i - 1]
-        phi[h] = acc
-    return phi
+    return _ma_recursion(fit.coef, horizon)
 
 
 def orthogonalized_irf(fit: VarFit, horizon: int) -> np.ndarray:
@@ -67,30 +86,6 @@ def orthogonalized_irf(fit: VarFit, horizon: int) -> np.ndarray:
     the df-adjusted residual covariance."""
     chol = cholesky_lower(fit.sigma_u)
     return ma_coefficients(fit, horizon) @ chol
-
-
-def _refit_responses(data: np.ndarray, p: int, horizon: int, orthogonalized: bool) -> np.ndarray:
-    """Response tensor of a lean refit on one bootstrap path."""
-    t_total, k = data.shape
-    n = t_total - p
-    design = np.empty((n, k * p + 1))
-    design[:, 0] = 1.0
-    for lag in range(1, p + 1):
-        design[:, 1 + (lag - 1) * k : 1 + lag * k] = data[p - lag : t_total - lag]
-    coef_stacked, resid, _ = solve_least_squares(design, data[p:])
-    coef = coef_stacked[1:].reshape(p, k, k).transpose(0, 2, 1)
-
-    phi = np.empty((horizon + 1, k, k))
-    phi[0] = np.eye(k)
-    for h in range(1, horizon + 1):
-        acc = np.zeros((k, k))
-        for i in range(1, min(h, p) + 1):
-            acc += phi[h - i] @ coef[i - 1]
-        phi[h] = acc
-    if orthogonalized:
-        dof = n - (k * p + 1)
-        phi = phi @ cholesky_lower(resid.T @ resid / dof)
-    return phi
 
 
 def irf_with_bands(
@@ -142,17 +137,32 @@ def irf_with_bands(
         else:
             shocks[r] = centered[gen.integers(0, t_eff, n_steps)]
     paths = iterate_paths(fit.intercept, fit.coef, shocks, mean)[:, DEFAULT_BURN_IN :, :]
+    del shocks
 
+    p = fit.p
+    m = k * p + 1
+    dof = t_eff - p - m
+    stack = max(1, REFIT_STACK_BYTES // ((t_eff - p) * (m + k) * 8))
     draws = np.empty((replications, horizon + 1, k, k))
-    failures: list[str] = []
     ok = np.ones(replications, dtype=bool)
-    for r in range(replications):
-        try:
-            draws[r] = _refit_responses(paths[r], fit.p, horizon, orthogonalized)
-        except (SingularDesignError, NumericError) as exc:
-            ok[r] = False
-            if len(failures) < 5:
-                failures.append(f"replication {r}: {exc}")
+    failures: list[str] = []
+    for start in range(0, replications, stack):
+        augmented = _lagged_design(paths[start : start + stack], p, p, with_targets=True)
+        solved = solve_stacked_least_squares(augmented, m)
+        coef = solved.coefficients[:, 1:].reshape(-1, p, k, k).transpose(0, 1, 3, 2)
+        phi = _ma_recursion(coef, horizon)
+        for c in range(phi.shape[0]):
+            reason = solved.failures.get(c)
+            if reason is None and orthogonalized:
+                try:
+                    phi[c] = phi[c] @ cholesky_lower(solved.residual_cross[c] / dof)
+                except NotPositiveDefiniteError as exc:
+                    reason = str(exc)
+            if reason is not None:
+                ok[start + c] = False
+                if len(failures) < 5:
+                    failures.append(f"replication {start + c}: {reason}")
+        draws[start : start + phi.shape[0]] = phi
     n_failed = int((~ok).sum())
     if n_failed > MAX_REFIT_FAILURE_RATE * replications:
         raise NumericError(
@@ -172,4 +182,6 @@ def irf_with_bands(
         replications=replications,
         seed=seed,
         var_names=fit.var_names,
+        n_failed=n_failed,
+        failures=tuple(failures),
     )

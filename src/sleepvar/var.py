@@ -73,6 +73,8 @@ class VarFit:
                 arr = arr.reshape(want)  # empty lag stacks (p == 0) arrive flat
             if arr.shape != want:
                 raise DataError(f"{name} must have shape {want}, got {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise DataError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, freeze(arr))
 
     @property
@@ -140,15 +142,27 @@ def _values_or_raise(frame: SeriesFrame) -> np.ndarray:
     return np.asarray(frame.values)
 
 
-def _lagged_design(values: np.ndarray, p: int, trim: int):
-    """Design/targets using rows trim..T-1 as regression targets (trim >= p)."""
-    t_total, k = values.shape
+def _lagged_design(values: np.ndarray, p: int, trim: int, with_targets: bool = False):
+    """Design/targets using rows trim..T-1 as regression targets (trim >= p).
+
+    ``values`` is (..., T, K); leading axes stack independent series (the
+    bootstrap paths), each getting its own (..., T-trim, K*p+1) design.
+    Each design is stored column by column (Fortran order), the layout
+    LAPACK factors, so the lag copies run along whole columns however small
+    K is.  ``with_targets`` returns the augmented [design | targets] as one
+    array instead of the pair.
+    """
+    *batch, t_total, k = values.shape
     n = t_total - trim
-    design = np.empty((n, k * p + 1))
-    design[:, 0] = 1.0
+    m = k * p + 1
+    design = np.empty((*batch, m + k if with_targets else m, n)).swapaxes(-1, -2)
+    design[..., 0] = 1.0
     for lag in range(1, p + 1):
-        design[:, 1 + (lag - 1) * k : 1 + lag * k] = values[trim - lag : t_total - lag]
-    return design, values[trim:]
+        design[..., 1 + (lag - 1) * k : 1 + lag * k] = values[..., trim - lag : t_total - lag, :]
+    if with_targets:
+        design[..., m:] = values[..., trim:, :]
+        return design
+    return design, values[..., trim:, :]
 
 
 def build_lagged_design(frame: SeriesFrame, p: int):

@@ -1,6 +1,10 @@
 """Command-line behavior: exit codes, outputs, determinism, JSON schemas."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from conftest import DATA_DIR
 
 SLEEP = str(DATA_DIR / "sleep.csv")
 MOOD = str(DATA_DIR / "mood.csv")
+SRC = str(Path(sv.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -52,6 +57,20 @@ class TestExitCodes:
         run(capsys, "ingest", "--oura", SLEEP, "--impute", "none", "-o", str(merged))
         code, _, err = run(capsys, "fit", str(merged), "--lags", "1")
         assert code == 2 and "missing" in err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_model_is_data_error(self, tmp_path, capsys, bad):
+        merged, model = tmp_path / "m.csv", tmp_path / "model.json"
+        run(capsys, "ingest", "--oura", SLEEP, "--emood", MOOD, "-o", str(merged))
+        run(capsys, "fit", str(merged), "--lags", "2", "-o", str(model))
+        doc = json.loads(model.read_text())
+        doc["coef"][0][0][0] = bad
+        model.write_text(json.dumps(doc))  # writes the NaN / Infinity tokens
+        for argv in (("irf", str(model), "--replications", "100"),
+                     ("granger", str(model), "--causing", "score")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "non-finite" in err and "Traceback" not in err
 
 
 class TestIngest:
@@ -221,3 +240,21 @@ class TestIdempotence:
                        "--svg", str(d / "irf.svg"))[0] == 0
         for name in ("merged.csv", "model.json", "granger.txt", "irf.csv", "irf.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_irf_bytes_independent_of_blas_threads(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        run(capsys, "ingest", "--oura", SLEEP, "--emood", MOOD, "-o", str(tmp_path / "m.csv"))
+        run(capsys, "fit", str(tmp_path / "m.csv"), "--lags", "2", "-o", str(model))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"irf{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "sleepvar.cli", "irf", str(model),
+                 "--replications", "120", "--seed", "0", "-o", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]

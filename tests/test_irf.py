@@ -7,8 +7,8 @@ import pytest
 
 import sleepvar as sv
 from sleepvar.errors import DataError, NumericError
-from sleepvar.linalg import cholesky_lower
-from sleepvar.simulate import substream
+from sleepvar.linalg import cholesky_lower, solve_least_squares
+from sleepvar.simulate import DEFAULT_BURN_IN, iterate_paths, substream
 
 from conftest import VAR2_SPEC
 
@@ -50,6 +50,26 @@ def shock_propagation_oracle(fit: sv.VarFit, horizon: int) -> np.ndarray:
     for j in range(k):
         out[:, :, j] = run(np.eye(k)[j]) - quiet
     return out
+
+
+def looped_bands(fit: sv.VarFit, horizon: int, level: float, replications: int, seed: int):
+    """Reference bootstrap: one QR least-squares refit per replication."""
+    k, p, t_eff = fit.n_vars, fit.p, fit.t_eff
+    chol = cholesky_lower(fit.sigma_u)
+    shocks = np.stack([substream(seed, r + 1).standard_normal((DEFAULT_BURN_IN + t_eff, k))
+                       @ chol.T for r in range(replications)])
+    mean = np.linalg.solve(np.eye(k) - fit.coef.sum(axis=0), fit.intercept)
+    paths = iterate_paths(fit.intercept, fit.coef, shocks, mean)[:, DEFAULT_BURN_IN:]
+    draws = []
+    for path in paths:
+        design = np.column_stack([np.ones(t_eff - p)]
+                                 + [path[p - lag : t_eff - lag] for lag in range(1, p + 1)])
+        coef, resid, _ = solve_least_squares(design, path[p:])
+        refit = dataclasses.replace(fit, coef=coef[1:].reshape(p, k, k).transpose(0, 2, 1))
+        dof = t_eff - p - design.shape[1]
+        draws.append(sv.ma_coefficients(refit, horizon) @ cholesky_lower(resid.T @ resid / dof))
+    tail = (1.0 - level) / 2.0
+    return np.quantile(np.array(draws), [tail, 1.0 - tail], axis=0)
 
 
 class TestMaCoefficients:
@@ -175,6 +195,14 @@ class TestIrfWithBands:
         with pytest.raises(DataError, match="innovation mode"):
             sv.irf_with_bands(fit, replications=150, innovations="bayes")
 
+    def test_stacked_refits_match_per_replication_loop(self):
+        fit = sv.fit_var(sv.simulate_var(VAR2_SPEC, 400, seed=6), 2)
+        res = sv.irf_with_bands(fit, horizon=6, replications=150, seed=4)
+        lower, upper = looped_bands(fit, 6, 0.95, 150, 4)
+        assert np.abs(res.lower - lower).max() <= 1e-12
+        assert np.abs(res.upper - upper).max() <= 1e-12
+        assert res.n_failed == 0 and res.failures == ()
+
     def test_band_convergence_in_replications(self):
         fit = sv.fit_var(sv.simulate_var(VAR2_SPEC, 2000, seed=5000), 2)
         a = sv.irf_with_bands(fit, 10, 0.95, 500, seed=9)
@@ -195,3 +223,7 @@ class TestIrfWithBands:
         assert magnitude[10] < magnitude[peak] / 3.0
         width = res.upper[:, i, j] - res.lower[:, i, j]
         assert width[10] < width[peak]
+
+    def test_dataset_refits_all_succeed(self, dataset_fit):
+        res = sv.irf_with_bands(dataset_fit, horizon=10, replications=100, seed=0)
+        assert res.n_failed == 0 and res.failures == ()

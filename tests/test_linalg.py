@@ -11,9 +11,11 @@ from sleepvar.linalg import (
     companion_matrix,
     log_det_pd,
     solve_least_squares,
+    solve_stacked_least_squares,
     spectral_radius,
 )
 from sleepvar.simulate import substream
+from sleepvar.var import _lagged_design
 
 
 def gauss_solve(a, b):
@@ -100,6 +102,55 @@ class TestSolveLeastSquares:
             design = gen.standard_normal((60, 4))
             _, resid, _ = solve_least_squares(design, gen.standard_normal((60, 3)))
             assert np.abs(design.T @ resid).max() <= 1e-8
+
+
+def augmented_stack(paths: np.ndarray, p: int) -> np.ndarray:
+    return _lagged_design(paths, p, p, with_targets=True)
+
+
+class TestSolveStackedLeastSquares:
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_per_path_lstsq(self, k, p):
+        paths = substream(k * 10 + p, 0).standard_normal((6, 120, k)) + 0.5
+        m = k * p + 1
+        solved = solve_stacked_least_squares(augmented_stack(paths, p), m)
+        assert solved.failures == {}
+        for c in range(paths.shape[0]):
+            design, targets = _lagged_design(paths[c], p, p)
+            coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
+            resid = targets - design @ coef
+            assert np.abs(solved.coefficients[c] - coef).max() <= 1e-12
+            assert np.abs(solved.residual_cross[c] - resid.T @ resid).max() <= 1e-12
+
+    def test_constant_column_masks_only_its_replication(self):
+        paths = substream(3, 0).standard_normal((5, 80, 3))
+        paths[2, :, 1] = 0.0  # variable 1 constant: its R diagonal is exactly zero
+        solved = solve_stacked_least_squares(augmented_stack(paths, 2), 3 * 2 + 1)
+        assert list(solved.failures) == [2]
+        assert "column 2 " in solved.failures[2]
+        assert not solved.coefficients[2].any()
+        assert np.isfinite(solved.coefficients).all()
+
+    def test_results_independent_of_stack_size(self):
+        paths = substream(5, 0).standard_normal((7, 300, 5))
+        paths[3] *= 1e-9  # the rank verdict is relative to each replication's own scale
+        paths[5] *= 1e6
+        aug = augmented_stack(paths, 2)
+        whole = solve_stacked_least_squares(aug, 11)
+        assert whole.failures == {}
+        for c in range(aug.shape[0]):
+            alone = solve_stacked_least_squares(aug[c : c + 1], 11)
+            assert np.array_equal(alone.coefficients[0], whole.coefficients[c])
+            assert np.array_equal(alone.residual_cross[0], whole.residual_cross[c])
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError, match="3-D"):
+            solve_stacked_least_squares(np.ones((4, 3)), 2)
+        with pytest.raises(ValueError, match="underdetermined"):
+            solve_stacked_least_squares(np.ones((1, 3, 4)), 2)
+        with pytest.raises(ValueError, match="design width"):
+            solve_stacked_least_squares(np.ones((1, 9, 4)), 4)
 
 
 class TestCholesky:
