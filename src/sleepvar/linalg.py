@@ -1,12 +1,21 @@
 """Dense linear-algebra kernel backing the estimators.
 
-Matrices are plain 2-D float64 ``numpy.ndarray``s.  Least squares goes
-through a Householder QR factorization (LAPACK, via numpy) instead of the
-normal equations; the inverse normal matrix ``(X'X)^-1`` that coefficient
-covariances need is recovered from the R factor.  Stacks of small problems
-(the bootstrap refits) go through one QR of each augmented matrix [X | Y],
-made in one LAPACK call per stack.  Everything here is pure and safe for
-concurrent use.
+Matrices are plain 2-D float64 ``numpy.ndarray``s.  Every least-squares
+problem is one Householder QR (LAPACK, via numpy) of the augmented matrix
+[X | Y] in ``mode="r"``: no Q is formed, nothing goes through the normal
+equations or an SVD, and every answer is read from R =
+[[R_xx, R_xy], [0, R_yy]] (Golub & Van Loan, *Matrix Computations*, 5.3):
+
+* coefficients solve R_xx B = R_xy;
+* the residual cross-product of Y on the first j columns of X is
+  R[j:, m:]' R[j:, m:], so a nested order search (every column prefix)
+  needs one factorization, not one per candidate;
+* ``(X'X)^-1`` is R_xx^-1 R_xx^-T.
+
+Stacks of small problems (the bootstrap refits) are factored in one LAPACK
+call per stack.  Triangular solves use numpy's ``solve``, not scipy's, so
+only numpy's BLAS (and its one thread pool) is involved.  Everything here
+is pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -14,7 +23,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, SingularDesignError
 
@@ -50,45 +58,71 @@ class StackedLeastSquares(NamedTuple):
     failures: dict[int, str]    # stack index -> rank-deficiency message
 
 
+def deficient_columns(r: np.ndarray, m: int) -> np.ndarray:
+    """Mask of the columns of R[..., :m, :m] that mark the design rank deficient.
+
+    A column is deficient when its R diagonal is at most ``RANK_RTOL`` times
+    the largest diagonal of the same R_xx (so an all-zero design fails at
+    column 0).  Leading axes of ``r`` are independent factorizations.
+    """
+    diag = np.abs(np.diagonal(r[..., :m, :m], axis1=-2, axis2=-1))
+    return diag <= RANK_RTOL * diag.max(axis=-1, keepdims=True, initial=0.0)
+
+
+def check_rank(r: np.ndarray, m: int) -> None:
+    """Raise :class:`SingularDesignError` naming the first deficient column of R[:m, :m]."""
+    bad = np.flatnonzero(deficient_columns(r, m))
+    if bad.size:
+        col = int(bad[0])
+        raise SingularDesignError(_rank_message(col), column=col)
+
+
+def augmented_r(augmented, m: int) -> np.ndarray:
+    """R factor (no Q) of one augmented matrix [X | Y], X in the first ``m`` columns."""
+    a = as_matrix(augmented, "augmented matrix")
+    n, width = a.shape
+    if not 0 < m < width:
+        raise ValueError(f"design width {m} must lie in 1..{width - 1}")
+    if n < m:
+        raise ValueError(f"underdetermined system: {n} rows < {m} columns")
+    return np.linalg.qr(a, mode="r")
+
+
 def solve_least_squares(design, targets) -> LeastSquares:
     """Minimize ``||targets - design @ B||_F`` over B for a full-rank design.
 
-    Raises :class:`SingularDesignError` (with the offending column index)
-    when the smallest R diagonal falls below ``RANK_RTOL`` times the largest.
+    One QR of [design | targets].  Raises :class:`SingularDesignError` (with
+    the offending column index) when an R diagonal falls to ``RANK_RTOL``
+    times the largest or below.
     """
     x = as_matrix(design, "design")
     y = as_matrix(targets, "targets")
     n, m = x.shape
     if y.shape[0] != n:
         raise ValueError(f"design has {n} rows but targets has {y.shape[0]}")
-    if n < m:
-        raise ValueError(f"underdetermined system: {n} rows < {m} columns")
-
-    q, r = np.linalg.qr(x, mode="reduced")
-    diag = np.abs(np.diag(r))
-    cutoff = RANK_RTOL * diag.max(initial=0.0)
-    bad = np.nonzero(diag <= cutoff)[0]
-    if diag.max(initial=0.0) == 0.0 or bad.size:
-        col = int(bad[0]) if bad.size else 0
-        raise SingularDesignError(_rank_message(col), column=col)
-
-    coef = solve_triangular(r, q.T @ y)
-    resid = y - x @ coef
-    r_inv = solve_triangular(r, np.eye(m))
-    nmi = r_inv @ r_inv.T
-    return LeastSquares(coef, resid, nmi)
+    augmented = np.empty((m + y.shape[1], n)).T  # column-major, the layout LAPACK factors
+    augmented[:, :m] = x
+    augmented[:, m:] = y
+    r = augmented_r(augmented, m)
+    check_rank(r, m)
+    # R_xx is upper triangular, so partial pivoting keeps its diagonal and
+    # numpy's solve is back substitution.  scipy's solve_triangular would
+    # run on scipy's own BLAS, whose threads contend with numpy's when the
+    # two alternate on small calls (4x slower at two threads).
+    r_xx = r[:m, :m]
+    coef = np.linalg.solve(r_xx, r[:m, m:])
+    r_inv = np.linalg.solve(r_xx, np.eye(m))
+    return LeastSquares(coef, y - x @ coef, r_inv @ r_inv.T)
 
 
 def solve_stacked_least_squares(augmented, m: int) -> StackedLeastSquares:
     """Least squares for a stack of augmented matrices [X | Y], one QR each.
 
     ``augmented`` has shape (C, n, m+q): design X in the first ``m``
-    columns, targets Y in the rest.  The R factor of [X | Y] is
-    [[R_xx, R_xy], [0, R_yy]], so the coefficients solve R_xx B = R_xy and
-    the residual cross-product is R_yy' R_yy (Golub & Van Loan, *Matrix
-    Computations*, 5.3).  A replication whose R_xx diagonal fails the
-    ``RANK_RTOL`` rule of :func:`solve_least_squares` is masked: it is
-    named in ``failures`` and does not abort the stack.  Each replication's
+    columns, targets Y in the rest.  The coefficients solve R_xx B = R_xy
+    and the residual cross-product is R_yy' R_yy.  A replication whose R_xx
+    fails the rank rule of :func:`deficient_columns` is masked: it is named
+    in ``failures`` and does not abort the stack.  Each replication's
     results do not depend on the others in the stack.
     """
     a = np.asarray(augmented, dtype=float)
@@ -103,15 +137,10 @@ def solve_stacked_least_squares(augmented, m: int) -> StackedLeastSquares:
         raise ValueError("augmented stack contains non-finite entries")
 
     r = np.linalg.qr(a, mode="r")
-    diag = np.abs(np.diagonal(r[:, :m, :m], axis1=1, axis2=2))
-    deficient = diag <= RANK_RTOL * diag.max(axis=1, keepdims=True)
+    deficient = deficient_columns(r, m)
     bad = np.flatnonzero(deficient.any(axis=1))
     failures = {int(i): _rank_message(int(np.argmax(deficient[i]))) for i in bad}
 
-    # R_xx is upper triangular, so partial pivoting keeps its diagonal and
-    # numpy's solve is back substitution.  scipy's solve_triangular would
-    # run on scipy's own BLAS, whose threads contend with numpy's when the
-    # two alternate on small calls (4x slower at two threads).
     r_xx = r[:, :m, :m].copy()
     r_xx[bad] = np.eye(m)  # keeps the solve defined; masked results are zeroed
     coef = np.linalg.solve(r_xx, r[:, :m, m:])

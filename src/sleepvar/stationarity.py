@@ -8,7 +8,13 @@ Conventions worth spelling out once:
   exactly when the p-value fails to reject that null.
 * The augmentation order is picked by minimizing the regression AIC over
   0..max_lag on a common trimmed sample, then the test regression is refit
-  at the chosen order on all usable rows.
+  at the chosen order on all usable rows.  Each of the two steps is one QR
+  of an augmented matrix [X | dy] (:mod:`sleepvar.linalg`), with no SVD:
+  the search reads every order's residual sum of squares from one R
+  factor, and the final t-ratio is read from the other.
+* A degenerate regression, where the level y_{t-1} lies in the span of the
+  other regressors or dy is fitted exactly (a deterministic ramp), carries
+  no evidence either way and reports a statistic of 0.
 * p-values come from the bundled response-surface approximation
   (:mod:`sleepvar.mackinnon`).
 """
@@ -22,6 +28,7 @@ import numpy as np
 
 from . import mackinnon
 from .errors import DataError, NumericError
+from .linalg import RANK_RTOL, augmented_r, deficient_columns
 
 ADF_MIN_OBS = 15
 REGRESSIONS = mackinnon.REGRESSIONS  # ("constant", "constant_and_trend")
@@ -32,7 +39,8 @@ WHITE_NOISE_Z = 1.96
 class AdfResult:
     """Augmented Dickey-Fuller outcome.
 
-    ``statistic`` is the t-ratio on the lagged level; ``used_lag`` the chosen
+    ``statistic`` is the t-ratio on the lagged level (0.0 for a degenerate
+    regression, see the module notes); ``used_lag`` the chosen
     augmentation order; ``n_obs`` the rows in the final regression.
     ``critical_values`` maps '1%', '5%', '10%' to finite-sample thresholds.
     """
@@ -83,22 +91,6 @@ def _clean_series(series, min_len: int) -> np.ndarray:
     return y
 
 
-def _pinv_lstsq(x: np.ndarray, y: np.ndarray):
-    """OLS that tolerates rank deficiency (degenerate deterministic inputs).
-
-    Returns (beta, ssr, diag of pseudo-inverse of X'X).
-    """
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    cutoff = s.max(initial=0.0) * max(x.shape) * np.finfo(float).eps
-    keep = s > cutoff
-    inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    beta = vt.T @ (inv_s * (u.T @ y))
-    resid = y - x @ beta
-    ssr = float(resid @ resid)
-    xtx_pinv_diag = np.einsum("ji,j->i", vt**2, inv_s**2)
-    return beta, ssr, xtx_pinv_diag
-
-
 def _adf_design(y: np.ndarray, k: int, ntrend: int):
     """Regression pieces for augmentation order k.
 
@@ -144,28 +136,38 @@ def adf_test(series, regression: str = "constant", max_lag: int | None = None) -
     if max_lag < 0:
         raise DataError(f"series too short for an ADF regression with {regression!r} terms")
 
-    # Augmentation order by AIC on the common sample trimmed at max_lag.
+    # Augmentation order by AIC on the common sample trimmed at max_lag: one
+    # QR of [x_full | target], whose last column below row base+k holds the
+    # residual of the order-k regression.  The SSR floor, relative to the
+    # target's own size, makes exact fits tie instead of ranking rounding noise.
     x_full, target = _adf_design(y, max_lag, ntrend)
     n = target.size
     base = ntrend + 1
-    best = (np.inf, 0)
-    for k in range(max_lag + 1):
-        _, ssr, _ = _pinv_lstsq(x_full[:, : base + k], target)
-        aic = n * np.log(max(ssr, 1e-300) / n) + 2.0 * (base + k)
-        if aic < best[0]:
-            best = (aic, k)
-    used_lag = best[1]
+    r = augmented_r(np.column_stack([x_full, target]), x_full.shape[1])
+    ssr = np.cumsum(r[::-1, -1] ** 2)[::-1][base:]  # orders 0..max_lag
+    floor = max((RANK_RTOL * np.linalg.norm(target)) ** 2, np.finfo(float).tiny)
+    aic = n * np.log(np.maximum(ssr, floor) / n) + 2.0 * (base + np.arange(max_lag + 1))
+    used_lag = int(np.argmin(aic))
 
-    # Final regression at the chosen order uses every available row.
+    # Final regression at the chosen order uses every available row.  With
+    # the level y_{t-1} moved to the last design column, its R diagonal is
+    # its distance from the other columns' span, and the t-ratio
+    # beta / se = sign(R[m-1, m-1]) R[m-1, m] sqrt(dof) / |R[m, m]| is read
+    # off R.  A level inside that span, or a target fitted exactly, leaves
+    # no unit-root evidence either way: the statistic is 0.
     x, target = _adf_design(y, used_lag, ntrend)
-    n_obs = target.size
-    dof = n_obs - x.shape[1]
+    n_obs, m = x.shape
+    dof = n_obs - m
     if dof < 1:
         raise DataError("series too short for the selected augmentation order")
-    beta, ssr, pinv_diag = _pinv_lstsq(x, target)
     level = ntrend  # index of the y_{t-1} column
-    se = float(np.sqrt(ssr / dof * pinv_diag[level]))
-    statistic = float(beta[level] / se) if se > 0.0 else 0.0
+    order = [*range(level), *range(level + 1, m), level]
+    r = augmented_r(np.column_stack([x[:, order], target]), m)
+    resid_norm = abs(r[m, m])
+    if deficient_columns(r, m)[-1] or resid_norm <= RANK_RTOL * np.linalg.norm(target):
+        statistic = 0.0
+    else:
+        statistic = float(np.sign(r[m - 1, m - 1]) * r[m - 1, m] * np.sqrt(dof) / resid_norm)
 
     return AdfResult(
         statistic=statistic,

@@ -23,7 +23,14 @@ from scipy.stats import norm
 from ._util import TextSource, freeze, open_text_read, open_text_write
 from .errors import DataError, ModelFormatError, NumericError, SingularDesignError
 from .frame import SeriesFrame
-from .linalg import companion_matrix, log_det_pd, solve_least_squares, spectral_radius
+from .linalg import (
+    augmented_r,
+    check_rank,
+    companion_matrix,
+    log_det_pd,
+    solve_least_squares,
+    spectral_radius,
+)
 from .errors import NotPositiveDefiniteError
 
 MODEL_SCHEMA_VERSION = 1
@@ -292,7 +299,8 @@ def select_order(frame: SeriesFrame, max_lags: int, override: int | None = None)
     """Tabulate the four criteria for lags 0..max_lags on a common sample.
 
     Every candidate is fit to the targets left after trimming ``max_lags``
-    rows, so criteria are comparable across lags.  ``selected`` is the AIC
+    rows, so criteria are comparable across lags; one factorization of the
+    max_lags design serves every candidate.  ``selected`` is the AIC
     argmin unless ``override`` pins a lag explicitly.
     """
     if max_lags < 0:
@@ -308,14 +316,19 @@ def select_order(frame: SeriesFrame, max_lags: int, override: int | None = None)
             f"common sample has {t_star} rows"
         )
 
-    design_full, targets = _lagged_design(values, max_lags, max_lags)
+    # One QR of [X | Y] at max_lags: the lag-p design is the first 1 + K*p
+    # columns of X, so its residual cross-product is R[1+K*p:, m:]' R[1+K*p:, m:].
+    m = 1 + k * max_lags
+    r = augmented_r(_lagged_design(values, max_lags, max_lags, with_targets=True), m)
     table = np.empty((max_lags + 1, len(CRITERIA)))
     for p in range(max_lags + 1):
+        width = 1 + k * p
         try:
-            _, resid, _ = solve_least_squares(design_full[:, : 1 + k * p], targets)
+            check_rank(r, width)
         except SingularDesignError as exc:
             raise _map_singular_column(exc, frame.names, p) from None
-        table[p] = _criteria(resid.T @ resid / t_star, t_star, k, p)
+        tail = r[width:, m:]
+        table[p] = _criteria(tail.T @ tail / t_star, t_star, k, p)
 
     minima = {c: int(np.argmin(table[:, i])) for i, c in enumerate(CRITERIA)}
     if override is not None:

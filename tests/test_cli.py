@@ -11,7 +11,7 @@ import pytest
 import sleepvar as sv
 from sleepvar.cli import main
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, GOLDEN_DIR
 
 SLEEP = str(DATA_DIR / "sleep.csv")
 MOOD = str(DATA_DIR / "mood.csv")
@@ -22,6 +22,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_with_threads(threads: str, *argv) -> bytes:
+    """Run the CLI in a fresh interpreter with ``threads`` BLAS threads; its stdout bytes."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "sleepvar.cli", *argv],
+                          env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    return proc.stdout
 
 
 class TestExitCodes:
@@ -247,14 +257,18 @@ class TestIdempotence:
         run(capsys, "fit", str(tmp_path / "m.csv"), "--lags", "2", "-o", str(model))
         outputs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
             out = tmp_path / f"irf{threads}.csv"
-            proc = subprocess.run(
-                [sys.executable, "-m", "sleepvar.cli", "irf", str(model),
-                 "--replications", "120", "--seed", "0", "-o", str(out)],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
-            assert proc.returncode == 0, proc.stderr
+            cli_with_threads(threads, "irf", str(model), "--replications", "120",
+                             "--seed", "0", "-o", str(out))
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_select_order_bytes_independent_of_blas_threads(self, tmp_path, capsys):
+        merged = tmp_path / "m.csv"
+        run(capsys, "ingest", "--oura", SLEEP, "--emood", MOOD, "-o", str(merged))
+        outputs = [
+            cli_with_threads(threads, "select-order", str(merged), "--maxlags", "15")
+            for threads in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0] == (GOLDEN_DIR / "select_order_maxlags15.txt").read_bytes()

@@ -23,6 +23,43 @@ def ar1_sample(phi: float, t: int, seed: int, mean: float = 0.0) -> np.ndarray:
     return out
 
 
+def adf_ols_oracle(y, regression, max_lag):
+    """ADF statistic and AIC-chosen order by one np.linalg.lstsq per order.
+
+    Rows are t = k+1..T-1 with regressors [1, (t,) y_{t-1}, dy_{t-1}..dy_{t-k}];
+    the order search trims at max_lag, the final fit uses every row, and the
+    standard error comes from an explicit inv(X'X).
+    """
+    dy = np.diff(y)
+
+    def design(k):
+        rows = range(k + 1, y.size)
+        cols = [[1.0] * len(rows)]
+        if regression == "constant_and_trend":
+            cols.append([float(i + 1) for i in range(len(rows))])
+        cols.append([y[t - 1] for t in rows])
+        for j in range(1, k + 1):
+            cols.append([dy[t - 1 - j] for t in rows])
+        return np.array(cols).T, np.array([dy[t - 1] for t in rows])
+
+    x_full, target = design(max_lag)
+    base = x_full.shape[1] - max_lag
+    aics = []
+    for k in range(max_lag + 1):
+        x = x_full[:, : base + k]
+        beta, *_ = np.linalg.lstsq(x, target, rcond=None)
+        ssr = np.sum((target - x @ beta) ** 2)
+        aics.append(target.size * np.log(ssr / target.size) + 2.0 * x.shape[1])
+    used_lag = int(np.argmin(aics))
+    x, target = design(used_lag)
+    beta, *_ = np.linalg.lstsq(x, target, rcond=None)
+    resid = target - x @ beta
+    sigma2 = resid @ resid / (x.shape[0] - x.shape[1])
+    level = base - 1
+    se = np.sqrt(sigma2 * np.linalg.inv(x.T @ x)[level, level])
+    return beta[level] / se, used_lag
+
+
 class TestAdf:
     def test_random_walks_keep_the_null(self):
         keep = sum(sv.adf_test(sv.random_walk(1000, seed=i)).p_value > 0.05 for i in range(30))
@@ -39,6 +76,37 @@ class TestAdf:
         res = sv.adf_test(np.arange(1.0, 101.0), regression="constant_and_trend")
         assert np.isfinite(res.statistic)
         assert 0.0 <= res.p_value <= 1.0
+
+    @pytest.mark.parametrize("regression", ["constant", "constant_and_trend"])
+    def test_exact_ramp_is_affine_invariant_with_zero_statistic(self, regression):
+        # Differences of a ramp are a constant, fitted exactly: no evidence
+        # either way, whatever the slope and offset.
+        ramp = np.arange(1.0, 101.0)
+        results = [
+            sv.adf_test(a * ramp + b, regression=regression)
+            for a, b in ((1.0, 0.0), (3.0, 7.0), (-2.0, 5.0), (0.25, -40.0), (1e-3, 0.0))
+        ]
+        assert results[0].statistic == 0.0
+        assert all(res == results[0] for res in results)
+
+    def test_level_in_trend_span_gives_zero_statistic(self):
+        # y_{t-1} is exactly linear in the regression rows, but the last
+        # difference breaks the exact fit: the level coefficient is unidentified.
+        for a, b in ((1.0, 0.0), (3.0, 7.0), (-2.0, 5.0)):
+            y = a * np.arange(1.0, 101.0) + b
+            y[-1] += 4.0 * a
+            assert sv.adf_test(y, regression="constant_and_trend").statistic == 0.0
+
+    @pytest.mark.parametrize("regression", ["constant", "constant_and_trend"])
+    def test_matches_plain_ols_oracle(self, regression):
+        series = [sv.random_walk(400, seed=s) + 10.0 for s in range(4)]
+        series += [ar1_sample(0.5, 300, seed=40 + s, mean=3.0) for s in range(4)]
+        for y in series:
+            for max_lag in (0, 4, 10):
+                res = sv.adf_test(y, regression=regression, max_lag=max_lag)
+                stat, used_lag = adf_ols_oracle(y, regression, max_lag)
+                assert res.used_lag == used_lag
+                assert res.statistic == pytest.approx(stat, rel=1e-9)
 
     def test_result_fields_and_critical_value_ordering(self):
         res = sv.adf_test(sv.random_walk(300, seed=3))

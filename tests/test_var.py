@@ -33,6 +33,31 @@ def scalar_ar_ols(series, p):
     return gauss_solve(xtx, xty)
 
 
+def per_lag_criteria(values, max_lags):
+    """(AIC, BIC, FPE, HQIC) per lag, one np.linalg.lstsq fit per lag on the
+    sample trimmed at max_lags (Lutkepohl 2005, 4.3)."""
+    t_total, k = values.shape
+    t_star = t_total - max_lags
+    targets = values[max_lags:]
+    rows = []
+    for p in range(max_lags + 1):
+        design = np.column_stack(
+            [np.ones(t_star)] + [values[max_lags - lag : t_total - lag] for lag in range(1, p + 1)]
+        )
+        coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
+        resid = targets - design @ coef
+        _, ld = np.linalg.slogdet(resid.T @ resid / t_star)
+        n_coef = p * k * k + k
+        regressors = k * p + 1
+        rows.append([
+            ld + 2.0 * n_coef / t_star,
+            ld + n_coef * math.log(t_star) / t_star,
+            ((t_star + regressors) / (t_star - regressors)) ** k * math.exp(ld),
+            ld + 2.0 * n_coef * math.log(math.log(t_star)) / t_star,
+        ])
+    return np.array(rows)
+
+
 class TestLaggedDesign:
     def test_hand_example(self):
         f = make_frame({"y": [1, 2, 3, 4, 5]})
@@ -214,6 +239,26 @@ class TestSelectOrder:
         assert sel.minima["aic"] == sel.minima["fpe"] == 2
         assert sel.minima["bic"] == sel.minima["hqic"] == 1
         assert sel.selected == 2
+
+    @pytest.mark.parametrize("case", ["dataset", "var2"])
+    def test_table_matches_per_lag_lstsq(self, case, dataset_frame):
+        if case == "dataset":
+            frame, max_lags = dataset_frame, 15
+        else:
+            frame, max_lags = sv.simulate_var(VAR2_SPEC, 2000, seed=21), 30
+        sel = sv.select_order(frame, max_lags)
+        oracle = per_lag_criteria(np.asarray(frame.values), max_lags)
+        assert np.abs(sel.table / oracle - 1.0).max() <= 1e-10
+
+    def test_constant_variable_names_offender(self):
+        values = np.asarray(sv.simulate_var(VAR2_SPEC, 120, seed=4).values)
+        frame = make_frame({"x": list(values[:, 0]), "elevated": [1.0] * 120,
+                            "y": list(values[:, 1])})
+        with pytest.raises(SingularDesignError, match=r"L1\.elevated") as err:
+            sv.select_order(frame, 3)
+        with pytest.raises(SingularDesignError) as fit_err:
+            sv.fit_var(frame, 1)
+        assert err.value.column == fit_err.value.column == "L1.elevated"
 
     def test_common_sample_matches_statsmodels(self):
         VAR = pytest.importorskip("statsmodels.tsa.api").VAR
