@@ -1,14 +1,20 @@
-"""Small shared helpers: immutable arrays, text source/sink handling."""
+"""Small shared helpers: immutable arrays, text source/sink handling, the normal CDF."""
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 from typing import IO, Iterator, Union
 
 import numpy as np
 
 TextSource = Union[str, os.PathLike, IO[str]]
+
+
+def norm_cdf(x: float) -> float:
+    """Standard normal CDF; for x < 0 it is the lower tail, free of cancellation."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def freeze(a: np.ndarray) -> np.ndarray:

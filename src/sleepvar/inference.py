@@ -10,28 +10,227 @@ degrees of freedom across all K equations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import f as f_dist
 
-from .errors import DataError, NotPositiveDefiniteError, NumericError
+from .errors import ConvergenceError, DataError, NotPositiveDefiniteError, NumericError
 from .linalg import cholesky_lower
 from .var import VarFit
 
+# Stopping rule of the incomplete-beta continued fraction (relative change
+# of its value in one step) and its iteration cap.
+_CF_EPS = 1e-15
+_CF_MAXIT = 100_000
+_CF_TINY = 1e-30
+# Stopping rule of the quantile search: the last Halley step in log F, after
+# which the error is of the order of its cube.
+_PPF_TOL = 1e-7
+_PPF_MAXIT = 200
+_LOG_F_BOUND = 700.0  # exp(+-700) stays finite
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_tail(z: float) -> float:
+    """lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2) by the Stirling series, z >= 10."""
+    w = 1.0 / (z * z)
+    series = -691.0 / 360360.0 + w / 156.0
+    for c in (1.0 / 1188.0, -1.0 / 1680.0, 1.0 / 1260.0, -1.0 / 360.0, 1.0 / 12.0):
+        series = c + w * series
+    return series / z
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b), accurate to a few ulps of the result for large a or b.
+
+    ``lgamma(a + b) - lgamma(a) - lgamma(b)`` loses the large common part
+    of lgamma(a + b) and lgamma(max(a, b)).  From 10 up, the Stirling terms
+    of the large arguments are cancelled in closed form and only their
+    small series tails are differenced (DiDonato & Morris, 1992, ACM TOMS
+    Algorithm 708).
+    """
+    a, b = min(a, b), max(a, b)
+    if b < 10.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    h = a / b
+    tails = _stirling_tail(b) - _stirling_tail(a + b)
+    if a < 10.0:
+        # lgamma(b) - lgamma(a + b) = -(b - 1/2) log(1 + a/b) - a log(a + b) + a + tails
+        return math.lgamma(a) + tails + a - a * math.log(a + b) - (b - 0.5) * math.log1p(h)
+    return (
+        tails + _stirling_tail(a) + _HALF_LOG_2PI - 0.5 * math.log(b)
+        + (a - 0.5) * math.log(h / (1.0 + h)) - b * math.log1p(h)
+    )
+
+
+def _beta_cf(a: float, b: float, u: float, w: float) -> float:
+    """I_u(a, b) * a * B(a, b) / (u^a w^b), with w = 1 - u given exactly.
+
+    The continued fraction of Numerical Recipes 6.4 has coefficients
+    d_{2m} = m(b-m)u / ((a+2m-1)(a+2m)) and
+    d_{2m+1} = -(a+m)(a+b+m)u / ((a+2m)(a+2m+1)); it converges quickly for
+    u < (a+1)/(a+b+2), and the caller swaps the tails to stay there.  It is
+    evaluated in its even contraction, whose partial denominators are
+    1 + d_{2m+1} + d_{2m+2}, by modified Lentz.  For u near 1 the odd
+    coefficients approach -1, so 1 + d_{2m+1} is expanded in w rather than
+    formed by a subtraction that would lose u's rounding.
+    """
+    # The value is T / T' with T = 1 + d_2 + S, T' = 1 + d_1 + d_2 + S and
+    # S = alpha_2 / (beta_2 + alpha_3 / (beta_3 + ...)), where
+    # alpha_k = -d_{2k-2} d_{2k-1} and beta_k = 1 + d_{2k-1} + d_{2k}.
+    ab = a + b
+    near_one = u > 0.5
+    d_even = head = head_odd = 0.0
+    f = c = _CF_TINY
+    d = 0.0
+    for m in range(_CF_MAXIT + 1):
+        # Step m forms d_{2m+1} = -pu / den (as 1 + d_{2m+1} and alpha_{m+1})
+        # and d_{2m+2}, the next d_even.
+        a2m = a + 2 * m
+        p = (a + m) * (ab + m)
+        den = a2m * (a2m + 1.0)
+        pu = p * u
+        if near_one:
+            one_odd = (a * (2 * m + 1 - b) + m * (3 * m + 2 - b) + p * w) / den
+        else:
+            one_odd = (den - pu) / den
+        alpha = d_even * pu / den
+        d_even = (m + 1) * (b - m - 1) * u / ((a2m + 1.0) * (a2m + 2.0))
+        beta = one_odd + d_even
+        if m == 0:
+            head, head_odd = 1.0 + d_even, beta
+            continue
+        d = beta + alpha * d
+        d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+        c = beta + alpha / c
+        if abs(c) < _CF_TINY:
+            c = _CF_TINY
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < _CF_EPS:
+            return (head + f) / (head_odd + f)
+    raise ConvergenceError(
+        f"incomplete beta continued fraction did not converge (a={a}, b={b}, u={u})"
+    )
+
+
+def _f_tails(x: float, df_num: float, df_den: float) -> tuple[float, float, float]:
+    """(CDF, survival function, x times the density) of F(df_num, df_den) at x.
+
+    With s = df_num x + df_den, the CDF is the regularized incomplete beta
+    I_u(a, b) at u = df_num x / s, a = df_num / 2, b = df_den / 2, and
+    x times the density is u^a (1 - u)^b / B(a, b).  1 - u is formed as
+    df_den / s, and the log of whichever of u, 1 - u lies near 1 by
+    log1p.  The continued fraction gives the tail it converges on directly
+    and only the other tail is a complement.  At the switch, where
+    u = (a + 1) / (a + b + 2), either tail is above about 0.08 (the
+    chi-square(1) tail beyond 3), so a small tail is never a complement.
+    """
+    if not x > 0.0:
+        return (math.nan,) * 3 if math.isnan(x) else (0.0, 1.0, 0.0)
+    a, b = 0.5 * df_num, 0.5 * df_den
+    s = df_num * x + df_den
+    u, v = df_num * x / s, df_den / s
+    if v == 0.0:
+        return 1.0, 0.0, 0.0
+    if u == 0.0:
+        return 0.0, 1.0, 0.0
+    if u < 0.5:
+        log_u, log_v = math.log(u), math.log1p(-u)
+    else:
+        log_u, log_v = math.log1p(-v), math.log(v)
+    front = math.exp(a * log_u + b * log_v - _log_beta(a, b))
+    if u < (a + 1.0) / (a + b + 2.0):
+        cdf = front * _beta_cf(a, b, u, v) / a
+        return cdf, 1.0 - cdf, front
+    sf = front * _beta_cf(b, a, v, u) / b
+    return 1.0 - sf, sf, front
+
+
+def _check_df(df_num, df_den) -> None:
+    if not (df_num > 0 and df_den > 0):
+        raise DataError(f"F degrees of freedom must be positive, got ({df_num}, {df_den})")
+
 
 def f_cdf(x: float, df_num: int, df_den: int) -> float:
-    return float(f_dist.cdf(x, df_num, df_den))
+    _check_df(df_num, df_den)
+    return _f_tails(x, df_num, df_den)[0]
 
 
 def f_sf(x: float, df_num: int, df_den: int) -> float:
     """Survival function 1 - CDF, computed without cancellation."""
-    return float(f_dist.sf(x, df_num, df_den))
+    _check_df(df_num, df_den)
+    return _f_tails(x, df_num, df_den)[1]
+
+
+def _log_f_guess(q: float, df_num: float, df_den: float) -> float:
+    """Log of Paulson's cube-root normal approximation to the F quantile, or 0.
+
+    It only starts the quantile search, so the normal quantile comes from
+    Abramowitz & Stegun 26.2.23 (error below 4.5e-4), and 0 (x = 1) stands
+    in where the approximation has no positive root.
+    """
+    r = math.sqrt(-2.0 * math.log(min(q, 1.0 - q)))
+    z = r - (2.515517 + r * (0.802853 + r * 0.010328)) / (
+        1.0 + r * (1.432788 + r * (0.189269 + r * 0.001308))
+    )
+    z = z if q > 0.5 else -z
+    c1, c2 = 2.0 / (9.0 * df_num), 2.0 / (9.0 * df_den)
+    lead = (1.0 - c2) ** 2 - z * z * c2
+    disc = (1.0 - c1) ** 2 * c2 + (1.0 - c2) ** 2 * c1 - z * z * c1 * c2
+    if lead <= 0.0 or disc < 0.0:
+        return 0.0
+    cube_root = ((1.0 - c1) * (1.0 - c2) + z * math.sqrt(disc)) / lead
+    return 3.0 * math.log(cube_root) if cube_root > 0.0 else 0.0
 
 
 def f_ppf(q: float, df_num: int, df_den: int) -> float:
-    return float(f_dist.ppf(q, df_num, df_den))
+    """Quantile: the x with ``f_cdf(x) == q``.
+
+    Halley's method on t = log x for log(tail) = log(target), where the tail
+    is the CDF for q <= 1/2 and the survival function above, so quantiles
+    far out in either tail keep their relative accuracy.  Each evaluation
+    narrows a bracket on t; a step that would leave it bisects instead.
+    """
+    _check_df(df_num, df_den)
+    if not 0.0 <= q <= 1.0:
+        raise DataError(f"probability must lie in [0, 1], got {q}")
+    if q == 0.0:
+        return 0.0
+    if q == 1.0:
+        return math.inf
+    upper = q > 0.5
+    sign = 1.0 if upper else -1.0
+    log_target = math.log1p(-q) if upper else math.log(q)
+    a, b = 0.5 * df_num, 0.5 * df_den
+    lo, hi = -_LOG_F_BOUND, _LOG_F_BOUND
+    t = min(max(_log_f_guess(q, df_num, df_den), lo), hi)
+    for _ in range(_PPF_MAXIT):
+        x = math.exp(t)
+        cdf, sf, front = _f_tails(x, df_num, df_den)
+        tail = sf if upper else cdf
+        # g = sign * (log(target) - log(tail)) rises with t, and
+        # g' = front / tail, g'' / g' = d log(front) / dt + sign * front / tail.
+        g = sign * (log_target - math.log(tail)) if tail > 0.0 else sign * math.inf
+        if g > 0.0:
+            hi = t
+        elif g < 0.0:
+            lo = t
+        else:
+            return x
+        step = math.nan
+        if front > 0.0:
+            step = -g * tail / front
+            u = df_num * x / (df_num * x + df_den)
+            halley = 0.5 * step * (a - (a + b) * u + sign * front / tail)
+            if abs(halley) < 0.5:
+                step /= 1.0 + halley
+        if abs(step) <= _PPF_TOL:
+            return math.exp(t + step)
+        t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
+    raise ConvergenceError(f"F quantile search did not converge (q={q}, df=({df_num}, {df_den}))")
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ equations or an SVD, and every answer is read from R =
 * ``(X'X)^-1`` is R_xx^-1 R_xx^-T.
 
 Stacks of small problems (the bootstrap refits) are factored in one LAPACK
-call per stack.  Triangular solves use numpy's ``solve``, not scipy's, so
-only numpy's BLAS (and its one thread pool) is involved.  Everything here
-is pure and safe for concurrent use.
+call per stack.  Triangular solves use numpy's ``solve``, so only numpy's
+BLAS (and its one thread pool) is involved.  Everything here is pure and
+safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ def solve_least_squares(design, targets) -> LeastSquares:
     r = augmented_r(augmented, m)
     check_rank(r, m)
     # R_xx is upper triangular, so partial pivoting keeps its diagonal and
-    # numpy's solve is back substitution.  scipy's solve_triangular would
-    # run on scipy's own BLAS, whose threads contend with numpy's when the
-    # two alternate on small calls (4x slower at two threads).
+    # numpy's solve is back substitution, on the one BLAS the package loads.
+    # A second library's BLAS would bring its own thread pool, contending
+    # with numpy's when the two alternate on small calls.
     r_xx = r[:m, :m]
     coef = np.linalg.solve(r_xx, r[:m, m:])
     r_inv = np.linalg.solve(r_xx, np.eye(m))

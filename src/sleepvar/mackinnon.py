@@ -18,7 +18,7 @@ number of regression observations.
 
 from __future__ import annotations
 
-import math
+from ._util import norm_cdf
 
 _SURFACES = {
     "constant": {
@@ -67,10 +67,6 @@ def _polyval(coeffs, x: float) -> float:
     return acc
 
 
-def _norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def approx_p_value(statistic: float, regression: str) -> float:
     """Approximate p-value of a Dickey-Fuller t statistic (null: unit root)."""
     s = _surface(regression)
@@ -79,7 +75,7 @@ def approx_p_value(statistic: float, regression: str) -> float:
     if statistic < s["tau_min"]:
         return 0.0
     coeffs = s["small_p"] if statistic <= s["tau_star"] else s["large_p"]
-    return _norm_cdf(_polyval(coeffs, statistic))
+    return norm_cdf(_polyval(coeffs, statistic))
 
 
 def critical_values(regression: str, n_obs: int) -> dict[str, float]:

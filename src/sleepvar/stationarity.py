@@ -138,15 +138,19 @@ def adf_test(series, regression: str = "constant", max_lag: int | None = None) -
 
     # Augmentation order by AIC on the common sample trimmed at max_lag: one
     # QR of [x_full | target], whose last column below row base+k holds the
-    # residual of the order-k regression.  The SSR floor, relative to the
-    # target's own size, makes exact fits tie instead of ranking rounding noise.
+    # residual of the order-k regression.  Only the orders whose lag columns
+    # all pass the rank rule compete: the Householder reflector of a
+    # collinear column is built on rounding residue and removes a random
+    # direction from the target.  The SSR floor, relative to the target's
+    # own size, makes exact fits tie instead of ranking rounding noise.
     x_full, target = _adf_design(y, max_lag, ntrend)
-    n = target.size
+    n, m_full = x_full.shape
     base = ntrend + 1
-    r = augmented_r(np.column_stack([x_full, target]), x_full.shape[1])
-    ssr = np.cumsum(r[::-1, -1] ** 2)[::-1][base:]  # orders 0..max_lag
+    r = augmented_r(np.column_stack([x_full, target]), m_full)
+    orders = 1 + int(np.cumprod(~deficient_columns(r, m_full)[base:]).sum())
+    ssr = np.cumsum(r[::-1, -1] ** 2)[::-1][base : base + orders]
     floor = max((RANK_RTOL * np.linalg.norm(target)) ** 2, np.finfo(float).tiny)
-    aic = n * np.log(np.maximum(ssr, floor) / n) + 2.0 * (base + np.arange(max_lag + 1))
+    aic = n * np.log(np.maximum(ssr, floor) / n) + 2.0 * (base + np.arange(orders))
     used_lag = int(np.argmin(aic))
 
     # Final regression at the chosen order uses every available row.  With

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import norm
 
-from ._util import TextSource, freeze, open_text_read, open_text_write
+from ._util import TextSource, freeze, norm_cdf, open_text_read, open_text_write
 from .errors import DataError, ModelFormatError, NumericError, SingularDesignError
 from .frame import SeriesFrame
 from .linalg import (
@@ -228,7 +227,7 @@ def fit_var(frame: SeriesFrame, p: int) -> VarFit:
     se_stacked = np.sqrt(np.outer(np.diag(nmi), np.diag(sigma)))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stacked = np.where(se_stacked > 0, coef_stacked / se_stacked, 0.0)
-    p_stacked = 2.0 * norm.sf(np.abs(t_stacked))
+    p_stacked = 2.0 * np.vectorize(norm_cdf, otypes=[float])(-np.abs(t_stacked))
 
     def split(stacked):
         head = stacked[0]

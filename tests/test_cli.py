@@ -34,6 +34,27 @@ def cli_with_threads(threads: str, *argv) -> bytes:
     return proc.stdout
 
 
+def test_runtime_loads_no_scipy():
+    # The F and normal tails are in-repo: a CLI process pays numpy's import
+    # and nothing heavier.  A fresh interpreter, since the oracle tests load
+    # scipy into this one.
+    script = """
+import sys
+import sleepvar as sv
+import sleepvar.cli
+frame = sv.impute(sv.merge([sv.ingest_sleep(sys.argv[1]), sv.ingest_mood(sys.argv[2])]))
+sv.adf_test(frame.column("score"))
+sv.granger_all_pairs(sv.fit_var(frame, 2), "score")
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, SLEEP, MOOD],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestExitCodes:
     def test_version(self, capsys):
         code, out, _ = run(capsys, "--version")

@@ -1,5 +1,7 @@
 """Granger causality and F-distribution helper tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,82 @@ class TestFDistribution:
 
     def test_sf_complements_cdf(self):
         assert f_sf(2.5, 3, 50) == pytest.approx(1.0 - f_cdf(2.5, 3, 50), abs=1e-12)
+
+    def test_edge_values(self):
+        assert f_cdf(0.0, 2, 30) == 0.0
+        assert f_sf(0.0, 2, 30) == 1.0
+        assert f_sf(math.inf, 2, 30) == 0.0
+        assert f_cdf(math.inf, 2, 30) == 1.0
+        assert f_ppf(0.0, 2, 30) == 0.0
+        assert f_ppf(1.0, 2, 30) == math.inf
+
+    def test_invalid_arguments_are_data_errors(self):
+        with pytest.raises(DataError, match="degrees of freedom"):
+            f_sf(1.0, 0, 30)
+        with pytest.raises(DataError, match="probability"):
+            f_ppf(1.5, 2, 30)
+
+
+# The scipy oracle grid: numerator df up to a 150-restriction joint test,
+# denominator df from 1 to 10**6 (the dataset's model has 7210).
+ORACLE_DF_NUM = (1, 2, 3, 5, 10, 20, 60, 150)
+ORACLE_DF_DEN = (1, 4, 30, 100, 2000, 7210, 18000, 10**6)
+ORACLE_STATISTICS = np.geomspace(1e-4, 200.0, 25)
+ORACLE_LEVELS = (0.5, 0.9, 0.95, 0.99, 0.999)
+
+
+class TestFDistributionOracle:
+    """The in-repo tails against scipy.stats.f, relative error 1e-10."""
+
+    @pytest.fixture(scope="class")
+    def f_ref(self):
+        return pytest.importorskip("scipy.stats").f
+
+    @pytest.mark.parametrize("df_num", ORACLE_DF_NUM)
+    def test_cdf_and_sf(self, f_ref, df_num):
+        for df_den in ORACLE_DF_DEN:
+            for x in ORACLE_STATISTICS:
+                for mine, ref in ((f_cdf, f_ref.cdf), (f_sf, f_ref.sf)):
+                    expected = float(ref(x, df_num, df_den))
+                    if expected > 1e-300:
+                        assert mine(x, df_num, df_den) == pytest.approx(expected, rel=1e-10), (
+                            mine.__name__, x, df_num, df_den
+                        )
+
+    @pytest.mark.parametrize("df_num", ORACLE_DF_NUM)
+    def test_ppf(self, f_ref, df_num):
+        for df_den in ORACLE_DF_DEN:
+            for q in ORACLE_LEVELS:
+                expected = float(f_ref.ppf(q, df_num, df_den))
+                assert f_ppf(q, df_num, df_den) == pytest.approx(expected, rel=1e-10), (
+                    q, df_num, df_den
+                )
+
+    @pytest.mark.parametrize("df_num", (1, 2, 5, 20))
+    def test_tails_near_the_switch_at_large_df_den(self, df_num):
+        # Around u = (a + 1) / (a + b + 2) at df_den = 10**6 the continued
+        # fraction's u lies within 1e-5 of 1, where its rounding alone moved
+        # the tail by up to 7e-11 (scipy's own sf errs by up to 3e-11 here),
+        # so the reference is a 40-digit incomplete beta.
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        df_den = 10**6
+        for x in np.geomspace(0.5, 8.0, 20):
+            xm = mp.mpf(float(x))
+            u = df_num * xm / (df_num * xm + df_den)
+            cdf = mp.betainc(mp.mpf(df_num) / 2, mp.mpf(df_den) / 2, 0, u, regularized=True)
+            sf = mp.betainc(mp.mpf(df_den) / 2, mp.mpf(df_num) / 2, 0, 1 - u, regularized=True)
+            assert f_cdf(x, df_num, df_den) == pytest.approx(float(cdf), rel=1e-13), x
+            assert f_sf(x, df_num, df_den) == pytest.approx(float(sf), rel=1e-13), x
+
+    def test_dataset_granger_tails(self, f_ref, dataset_fit):
+        for res in sv.granger_all_pairs(dataset_fit, "score"):
+            assert res.p_value == pytest.approx(
+                f_ref.sf(res.statistic, res.df_num, res.df_den), rel=1e-12
+            )
+            assert res.critical_value == pytest.approx(
+                f_ref.ppf(1.0 - res.alpha, res.df_num, res.df_den), rel=1e-12
+            )
 
 
 class TestGrangerTest:

@@ -98,6 +98,25 @@ class TestAdf:
             assert sv.adf_test(y, regression="constant_and_trend").statistic == 0.0
 
     @pytest.mark.parametrize("regression", ["constant", "constant_and_trend"])
+    def test_collinear_lag_columns_are_not_candidate_orders(self, regression):
+        # Every lagged difference of a bumped ramp is the same constant, so
+        # no augmentation order adds a usable column: the search stays at 0
+        # whatever the slope and offset, instead of ranking rounding noise.
+        results = []
+        for a, b in ((1.0, 0.0), (-2.0, 5.0), (3.0, 7.0), (0.25, -40.0), (1e-3, 0.0)):
+            y = a * np.arange(1.0, 101.0) + b
+            y[-1] += 4.0 * a
+            results.append(sv.adf_test(y, regression=regression))
+        first = results[0]
+        assert first.used_lag == 0
+        for res in results:
+            assert (res.used_lag, res.n_obs, res.critical_values, res.regression) == (
+                first.used_lag, first.n_obs, first.critical_values, first.regression
+            )
+            assert res.statistic == pytest.approx(first.statistic, rel=1e-12, abs=1e-12)
+            assert res.p_value == pytest.approx(first.p_value, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("regression", ["constant", "constant_and_trend"])
     def test_matches_plain_ols_oracle(self, regression):
         series = [sv.random_walk(400, seed=s) + 10.0 for s in range(4)]
         series += [ar1_sample(0.5, 300, seed=40 + s, mean=3.0) for s in range(4)]

@@ -127,6 +127,12 @@ class TestFitVar:
         assert ((fit.coef_p >= 0) & (fit.coef_p <= 1)).all()
         assert fit.t_eff == 400 - 2
 
+    def test_p_values_match_scipy_normal_tail(self, dataset_fit):
+        norm = pytest.importorskip("scipy.stats").norm
+        for t, p in ((dataset_fit.coef_t, dataset_fit.coef_p),
+                     (dataset_fit.intercept_t, dataset_fit.intercept_p)):
+            assert np.allclose(p, 2.0 * norm.sf(np.abs(t)), rtol=1e-12, atol=0.0)
+
     def test_residuals_orthogonal_to_design(self):
         frame = sv.simulate_var(VAR2_SPEC, 500, seed=3)
         design, _ = sv.build_lagged_design(frame, 2)
