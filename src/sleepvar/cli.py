@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__, frame as fr, inference, irf as irf_mod, report, simulate, stationarity, svgplot, var
+from ._util import write_text
 from .errors import SleepVarError
 
 
@@ -33,8 +34,7 @@ def _emit(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_text(out, text)
 
 
 def _emit_json(doc, out: str | None) -> None:
@@ -151,9 +151,7 @@ def _cmd_fit(args) -> int:
         var.save_model(fit, args.output)
         _note(f"model written to {args.output}")
     if args.json:
-        buf = io.StringIO()
-        var.save_model(fit, buf)
-        sys.stdout.write(buf.getvalue())
+        var.save_model(fit, sys.stdout)
     else:
         sys.stdout.write(report.format_fit_report(fit) + "\n")
     return 0

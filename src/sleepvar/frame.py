@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
+import io
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
-from ._util import TextSource, freeze, open_text_read, open_text_write
+from ._util import TextSource, freeze, read_text, write_text
 from .errors import DataError
 
 MOOD_VARIABLES = ("depressed", "anxious", "irritable", "elevated")
@@ -49,7 +51,6 @@ class VariableSpec:
 
 
 SLEEP_SCORE_SPEC = VariableSpec("score", VariableKind.SLEEP_SCORE, (1.0, 100.0))
-MOOD_SPECS = tuple(VariableSpec(n, VariableKind.MOOD, (0.0, 3.0)) for n in MOOD_VARIABLES)
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,57 @@ class SeriesFrame:
         return bool(np.isnan(self.values).any())
 
 
+# --- Text parsing ------------------------------------------------------------
+# Each parser reads the whole text, splits it once and converts whole columns.
+# Exports and frames repeat a few cells (levels, scores, imputed values) many
+# times, so cells convert, or format, through a per-call ``functools.cache``.
+# When a check on those columns fails, a per-row locator walks the rows in
+# file order and raises the first faulty row's error, the one a row-by-row
+# parser would raise.  Line numbers count CSV records as csv.reader yields
+# them: the header is line 1, and blank rows count.
+
+
+def _integer(text: str) -> float:
+    """An integer cell as a float, or NaN when blank."""
+    return float(int(text)) if text.strip() else math.nan
+
+
+def _number(text: str) -> float:
+    """A frame cell: a float, or NaN when blank."""
+    return float(text) if text.strip() else math.nan
+
+
+def _records(source: TextSource) -> list[list[str]]:
+    """Every CSV record of the source."""
+    return list(csv.reader(io.StringIO(read_text(source), newline="")))
+
+
+def _columns(records: list[list[str]], width: int) -> list[tuple[str, ...]]:
+    """The columns of the data rows: the records after the header that have a
+    non-blank cell.  ValueError if a data row is not ``width`` cells wide."""
+    rows = [row for row in records[1:] if any(map(str.strip, row))]
+    if not rows:
+        raise DataError("empty file: no data rows")
+    if set(map(len, rows)) != {width}:
+        raise ValueError("a data row has another width")
+    return list(zip(*rows))
+
+
+def _numbered_rows(records: list[list[str]], width: int):
+    """Yield (line_no, row) for every data row; a row of another width raises."""
+    for line_no, row in enumerate(records[1:], start=2):
+        if not any(map(str.strip, row)):
+            continue
+        if len(row) != width:
+            raise DataError(f"line {line_no}: expected {width} fields, got {len(row)}")
+        yield line_no, row
+
+
+def _ordinals(cells: Sequence[str]) -> np.ndarray:
+    """Day ordinals of ISO date cells; ValueError if any is malformed."""
+    return np.array(list(map(dt.date.toordinal, map(dt.date.fromisoformat, map(str.strip, cells)))))
+
+
 def _parse_date(cell: str, line_no: int) -> dt.date:
     try:
         return dt.date.fromisoformat(cell.strip())
@@ -131,30 +183,14 @@ def _parse_date(cell: str, line_no: int) -> dt.date:
         raise DataError(f"line {line_no}: malformed date {cell.strip()!r} (expected YYYY-MM-DD)")
 
 
-def _data_rows(source: TextSource, expected_header: Sequence[str]):
-    """Yield (line_no, row) for every data row after validating the header."""
-    with open_text_read(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError("empty file: missing header row")
-        header = [h.strip() for h in header]
-        if header != list(expected_header):
-            raise DataError(
-                f"unexpected header {header!r}; expected {list(expected_header)!r}"
-            )
-        n_rows = 0
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(expected_header):
-                raise DataError(
-                    f"line {line_no}: expected {len(expected_header)} fields, got {len(row)}"
-                )
-            n_rows += 1
-            yield line_no, row
-        if n_rows == 0:
-            raise DataError("empty file: no data rows")
+def _check_header(records: list[list[str]], expected_header: Sequence[str]) -> None:
+    if not records:
+        raise DataError("empty file: missing header row")
+    header = [h.strip() for h in records[0]]
+    if header != list(expected_header):
+        raise DataError(
+            f"unexpected header {header!r}; expected {list(expected_header)!r}"
+        )
 
 
 def ingest_sleep(source: TextSource) -> SeriesFrame:
@@ -165,15 +201,34 @@ def ingest_sleep(source: TextSource) -> SeriesFrame:
     be integers inside the valid range; duplicate dates are an error (one
     sleep bout per night).
     """
+    records = _records(source)
+    _check_header(records, ("date", "score"))
     lo, hi = SLEEP_SCORE_SPEC.valid_range
-    seen: dict[dt.date, float] = {}
-    for line_no, row in _data_rows(source, ("date", "score")):
+    try:
+        days, cells = _columns(records, 2)
+        ordinals = _ordinals(days)
+        scores = np.array(list(map(functools.cache(_integer), cells)))
+    except (ValueError, OverflowError):
+        _locate_sleep_error(records)
+    if ((scores < lo) | (scores > hi)).any() or (np.diff(np.sort(ordinals)) == 0).any():
+        _locate_sleep_error(records)
+
+    start = int(ordinals.min())
+    col = np.full(int(ordinals.max()) - start + 1, np.nan)
+    col[ordinals - start] = scores
+    return SeriesFrame(dt.date.fromordinal(start), (SLEEP_SCORE_SPEC.name,), col.reshape(-1, 1))
+
+
+def _locate_sleep_error(records: list[list[str]]) -> NoReturn:
+    lo, hi = SLEEP_SCORE_SPEC.valid_range
+    seen: set[dt.date] = set()
+    for line_no, row in _numbered_rows(records, 2):
         day = _parse_date(row[0], line_no)
         if day in seen:
             raise DataError(f"line {line_no}: duplicate date {day.isoformat()}")
+        seen.add(day)
         cell = row[1].strip()
         if cell == "":
-            seen[day] = math.nan
             continue
         try:
             score = int(cell)
@@ -185,14 +240,7 @@ def ingest_sleep(source: TextSource) -> SeriesFrame:
             raise DataError(
                 f"line {line_no}: sleep score {score} outside [{lo:.0f}, {hi:.0f}]"
             )
-        seen[day] = float(score)
-
-    start = min(seen)
-    n = (max(seen) - start).days + 1
-    col = np.full(n, np.nan)
-    for day, value in seen.items():
-        col[(day - start).days] = value
-    return SeriesFrame(start, (SLEEP_SCORE_SPEC.name,), col.reshape(-1, 1))
+    raise AssertionError("sleep export rejected, but no row is at fault")
 
 
 def ingest_mood(source: TextSource, absent_as_zero: bool = True) -> SeriesFrame:
@@ -203,33 +251,41 @@ def ingest_mood(source: TextSource, absent_as_zero: bool = True) -> SeriesFrame:
     covered span with no row at all become 0 ("not present") under the
     default ``absent_as_zero`` policy, or stay missing when it is off.
     """
-    by_day: dict[dt.date, np.ndarray] = {}
-    for line_no, row in _data_rows(source, ("date",) + MOOD_VARIABLES):
-        day = _parse_date(row[0], line_no)
-        levels = np.empty(len(MOOD_VARIABLES))
-        for j, cell in enumerate(row[1:]):
+    records = _records(source)
+    _check_header(records, ("date",) + MOOD_VARIABLES)
+    k = len(MOOD_VARIABLES)
+    try:
+        days, *cells = _columns(records, 1 + k)
+        ordinals = _ordinals(days)
+        level = functools.cache(_integer)
+        levels = np.column_stack([list(map(level, column)) for column in cells])
+    except (ValueError, OverflowError):
+        _locate_mood_error(records)
+    if not np.isin(levels, MOOD_LEVELS).all():  # a blank cell is NaN here
+        _locate_mood_error(records)
+
+    start = int(ordinals.min())
+    # -1 is below every level, so it marks the days no row reached.
+    vals = np.full((int(ordinals.max()) - start + 1, k), -1.0)
+    np.maximum.at(vals, ordinals - start, levels)
+    vals[vals[:, 0] < 0] = 0.0 if absent_as_zero else np.nan
+    return SeriesFrame(dt.date.fromordinal(start), MOOD_VARIABLES, vals)
+
+
+def _locate_mood_error(records: list[list[str]]) -> NoReturn:
+    for line_no, row in _numbered_rows(records, 1 + len(MOOD_VARIABLES)):
+        _parse_date(row[0], line_no)
+        for name, cell in zip(MOOD_VARIABLES, row[1:]):
             cell = cell.strip()
             try:
                 value = int(cell)
             except ValueError:
                 raise DataError(
-                    f"line {line_no}: {MOOD_VARIABLES[j]} must be an integer 0-3, got {cell!r}"
+                    f"line {line_no}: {name} must be an integer 0-3, got {cell!r}"
                 )
             if value not in MOOD_LEVELS:
-                raise DataError(
-                    f"line {line_no}: {MOOD_VARIABLES[j]} value {value} outside 0-3"
-                )
-            levels[j] = float(value)
-        prev = by_day.get(day)
-        by_day[day] = levels if prev is None else np.maximum(prev, levels)
-
-    start = min(by_day)
-    n = (max(by_day) - start).days + 1
-    fill = 0.0 if absent_as_zero else np.nan
-    vals = np.full((n, len(MOOD_VARIABLES)), fill)
-    for day, levels in by_day.items():
-        vals[(day - start).days] = levels
-    return SeriesFrame(start, MOOD_VARIABLES, vals)
+                raise DataError(f"line {line_no}: {name} value {value} outside 0-3")
+    raise AssertionError("mood log rejected, but no row is at fault")
 
 
 def merge(frames: Sequence[SeriesFrame]) -> SeriesFrame:
@@ -336,11 +392,13 @@ def _format_cell(v: float) -> str:
 
 def write_frame_csv(frame: SeriesFrame, sink: TextSource) -> None:
     """Write ``date,<name1>,...,<nameK>`` rows; missing cells are empty."""
-    with open_text_write(sink) as fh:
-        fh.write("date," + ",".join(frame.names) + "\n")
-        for i, day in enumerate(frame.dates()):
-            cells = ",".join(_format_cell(v) for v in frame.values[i])
-            fh.write(f"{day.isoformat()},{cells}\n")
+    first = np.datetime64(frame.start_date, "D")
+    days = np.arange(first, first + frame.n_obs).astype(str).tolist()
+    cell = functools.cache(_format_cell)
+    lines = ["date," + ",".join(frame.names)]
+    lines += [day + "," + ",".join(map(cell, row)) for day, row in zip(days, frame.values.tolist())]
+    lines.append("")
+    write_text(sink, "\n".join(lines))
 
 
 def read_frame_csv(source: TextSource) -> SeriesFrame:
@@ -349,40 +407,40 @@ def read_frame_csv(source: TextSource) -> SeriesFrame:
     The date column must be a strictly contiguous ascending daily grid;
     value cells are floats, empty meaning missing.
     """
-    with open_text_read(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0].strip() != "date" or len(header) < 2:
-            raise DataError("frame CSV must start with header 'date,<name1>,...'")
-        names = tuple(h.strip() for h in header[1:])
-        rows: list[list[float]] = []
-        start: dt.date | None = None
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+    records = _records(source)
+    header = records[0] if records else None
+    if not header or header[0].strip() != "date" or len(header) < 2:
+        raise DataError("frame CSV must start with header 'date,<name1>,...'")
+    names = tuple(h.strip() for h in header[1:])
+    try:
+        days, *columns = _columns(records, len(header))
+        ordinals = _ordinals(days)
+        number = functools.cache(_number)
+        values = np.column_stack([list(map(number, column)) for column in columns])
+    except (ValueError, OverflowError):
+        _locate_frame_error(records, names)
+    if (np.diff(ordinals) != 1).any():
+        _locate_frame_error(records, names)
+    return SeriesFrame(dt.date.fromordinal(int(ordinals[0])), names, values)
+
+
+def _locate_frame_error(records: list[list[str]], names: tuple[str, ...]) -> NoReturn:
+    start: dt.date | None = None
+    for n_rows, (line_no, row) in enumerate(_numbered_rows(records, 1 + len(names))):
+        day = _parse_date(row[0], line_no)
+        if start is None:
+            start = day
+        elif (day - start).days != n_rows:
+            raise DataError(
+                f"line {line_no}: dates must be contiguous daily; "
+                f"expected {(start + dt.timedelta(days=n_rows)).isoformat()}, got {day.isoformat()}"
+            )
+        for name, cell in zip(names, row[1:]):
+            cell = cell.strip()
+            if cell == "":
                 continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"line {line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            day = _parse_date(row[0], line_no)
-            if start is None:
-                start = day
-            elif (day - start).days != len(rows):
-                raise DataError(
-                    f"line {line_no}: dates must be contiguous daily; "
-                    f"expected {(start + dt.timedelta(days=len(rows))).isoformat()}, got {day.isoformat()}"
-                )
-            parsed = []
-            for j, cell in enumerate(row[1:]):
-                cell = cell.strip()
-                if cell == "":
-                    parsed.append(math.nan)
-                    continue
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise DataError(f"line {line_no}: malformed number {cell!r} in {names[j]!r}")
-            rows.append(parsed)
-    if start is None:
-        raise DataError("empty file: no data rows")
-    return SeriesFrame(start, names, np.array(rows))
+            try:
+                float(cell)
+            except ValueError:
+                raise DataError(f"line {line_no}: malformed number {cell!r} in {name!r}")
+    raise AssertionError("frame CSV rejected, but no row is at fault")

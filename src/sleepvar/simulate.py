@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import TextSource, freeze, open_text_read
+from ._util import TextSource, freeze, read_text
 from .errors import DataError, ModelFormatError, NotPositiveDefiniteError
 from .frame import SeriesFrame
 from .linalg import cholesky_lower, companion_matrix, spectral_radius
@@ -153,8 +153,7 @@ def load_process_spec(source: TextSource) -> VarProcessSpec:
     under either ``sigma_u`` or ``innovation_cov``.  Optional: burn_in.
     """
     try:
-        with open_text_read(source) as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_text(source))
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"corrupted process document: {exc}")
     if not isinstance(doc, dict):

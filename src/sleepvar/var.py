@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import TextSource, freeze, norm_cdf, open_text_read, open_text_write
+from ._util import TextSource, freeze, norm_cdf, read_text, write_text
 from .errors import DataError, ModelFormatError, NumericError, SingularDesignError
 from .frame import SeriesFrame
 from .linalg import (
@@ -361,16 +361,13 @@ def save_model(fit: VarFit, sink: TextSource) -> None:
     }
     for name in _ARRAY_FIELDS:
         doc[name] = getattr(fit, name).tolist()
-    with open_text_write(sink) as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_text(sink, json.dumps(doc) + "\n")
 
 
 def load_model(source: TextSource) -> VarFit:
     """Read a model document written by :func:`save_model`."""
     try:
-        with open_text_read(source) as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_text(source))
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"corrupted model document: {exc}")
     if not isinstance(doc, dict):

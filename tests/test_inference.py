@@ -197,6 +197,53 @@ class TestGrangerTest:
         assert (mine.df_num, mine.df_den) == sm.df
 
 
+def wald_oracle(frame, p, causing, caused):
+    """Granger F statistic of Lütkepohl (2005, section 3.6.1), built explicitly.
+
+    beta stacks each equation's OLS coefficients (per-equation lstsq on
+    Z = [1, y_{t-1}, ..., y_{t-p}]); its covariance is Sigma_u (x) (Z'Z)^-1
+    with the df-adjusted Sigma_u; C has one row per restricted coefficient,
+    and lambda_W = (C beta)' [C cov C']^-1 (C beta), divided by rank C.
+    """
+    y = np.asarray(frame.values)
+    t, k = y.shape
+    z = np.hstack([np.ones((t - p, 1))] + [y[p - lag : t - lag] for lag in range(1, p + 1)])
+    m = z.shape[1]
+    coefs, resid = [], []
+    for i in range(k):
+        b = np.linalg.lstsq(z, y[p:, i], rcond=None)[0]
+        coefs.append(b)
+        resid.append(y[p:, i] - z @ b)
+    beta = np.concatenate(coefs)                      # equation i owns beta[i*m:(i+1)*m]
+    u = np.array(resid).T
+    sigma_u = u.T @ u / (t - p - m)
+    cov = np.kron(sigma_u, np.linalg.inv(z.T @ z))
+    names = list(frame.names)
+    rows = []
+    for out in caused:
+        for src in causing:
+            for lag in range(p):
+                r = np.zeros(k * m)
+                r[names.index(out) * m + 1 + lag * k + names.index(src)] = 1.0
+                rows.append(r)
+    c = np.array(rows)
+    cb = c @ beta
+    return float(cb @ np.linalg.solve(c @ cov @ c.T, cb)) / len(rows)
+
+
+class TestGrangerWaldOracle:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("causing, caused", [
+        (("score",), ("depressed",)),
+        (("score",), ("depressed", "anxious", "elevated")),
+    ])
+    def test_dataset_statistic(self, dataset_frame, p, causing, caused):
+        mine = sv.granger_test(sv.fit_var(dataset_frame, p), causing, caused)
+        assert mine.df_num == p * len(causing) * len(caused)
+        assert mine.statistic == pytest.approx(
+            wald_oracle(dataset_frame, p, causing, caused), rel=1e-10)
+
+
 class TestGrangerAllPairs:
     def test_row_order_preserved(self, dataset_fit):
         results = sv.granger_all_pairs(dataset_fit, "score")

@@ -183,6 +183,21 @@ class TestAdf:
                 assert mine.critical_values[level] == pytest.approx(crit[level], abs=1e-10)
 
 
+class TestMacKinnonSurface:
+    @pytest.mark.parametrize("regression, published", [
+        ("constant", {"1%": -3.4304, "5%": -2.8615, "10%": -2.5668}),
+        ("constant_and_trend", {"1%": -3.9588, "5%": -3.4105, "10%": -3.1271}),
+    ])
+    def test_asymptotic_critical_values(self, regression, published):
+        # MacKinnon (2010), Table 1, N = 1 series: the surface's limit as T grows.
+        from sleepvar.mackinnon import critical_values
+
+        got = critical_values(regression, 10**9)
+        assert set(got) == set(published)
+        for level, value in published.items():
+            assert got[level] == pytest.approx(value, abs=1e-4)
+
+
 class TestRecommendDifferencing:
     def test_stationary_series(self):
         p, needs = sv.recommend_differencing(ar1_sample(0.5, 500, seed=2), alpha=0.05)
