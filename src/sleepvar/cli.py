@@ -147,10 +147,10 @@ def _cmd_select_order(args) -> int:
 def _cmd_fit(args) -> int:
     frame = _load_frame(args.frame)
     fit = var.fit_var(frame, args.lags)
-    if args.output:
+    if args.output and args.output != "-":
         var.save_model(fit, args.output)
         _note(f"model written to {args.output}")
-    if args.json:
+    if args.json or args.output == "-":
         var.save_model(fit, sys.stdout)
     else:
         sys.stdout.write(report.format_fit_report(fit) + "\n")
@@ -261,7 +261,7 @@ def _build_parser() -> _Parser:
     p.add_argument("frame")
     p.add_argument("--lags", type=int, required=True)
     p.add_argument("--json", action="store_true", help="print the model document instead")
-    p.add_argument("-o", "--output", help="write the model JSON here")
+    p.add_argument("-o", "--output", help="write the model JSON here ('-': to stdout, instead of the report)")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("granger", help="Granger causality tests from a saved model")

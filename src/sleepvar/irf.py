@@ -11,14 +11,20 @@ Each replication draws from its own counter-based substream, so the result
 is bit-identical for a given seed regardless of scheduling, and replication
 r's draws do not change when the replication count grows.
 
-The refits run in stacks of replications.  Each stack's lagged designs
-come from the estimator's own builder; one QR per augmented matrix
-[X | Y], made in one LAPACK call per stack, gives the coefficients and
-residual cross-products.  The MA recursion then runs over the whole stack.
-Stacks hold about :data:`REFIT_STACK_BYTES` of design, which bounds
-memory; a replication's draws do not depend on the stack it lands in, nor
-on the BLAS thread count.  A rank-deficient or non-positive-definite refit is
-masked and counted in ``IrfResult.n_failed``.
+The bootstrap runs one block of replications at a time: draw, path
+recursion, refits, MA recursion.  A block's paths live in one time-major
+buffer of about :data:`PATH_BLOCK_BYTES`, filled by the replications'
+draws and advanced by :func:`~sleepvar.simulate.recurse_paths`.  Within a
+block the refits run in stacks of about :data:`REFIT_STACK_BYTES` of
+design: each stack's lagged designs come from the estimator's own builder,
+and one QR per augmented matrix [X | Y], made in one LAPACK call per
+stack, gives the coefficients and residual cross-products.  The MA
+recursion and the Cholesky orthogonalization then run over the whole
+stack.  Only the response draws the percentiles need are kept for every
+replication, so memory does not grow with the paths of all replications.
+A replication's results do not depend on the block or stack it lands in,
+nor on the BLAS thread count.  A rank-deficient or non-positive-definite
+refit is masked and counted in ``IrfResult.n_failed``.
 """
 
 from __future__ import annotations
@@ -29,14 +35,16 @@ import numpy as np
 
 from .errors import DataError, NotPositiveDefiniteError, NumericError
 from .linalg import cholesky_lower, solve_stacked_least_squares
-from .simulate import DEFAULT_BURN_IN, iterate_paths, substream
+from .simulate import DEFAULT_BURN_IN, recurse_paths, substream
 from .var import VarFit, _lagged_design
 
 INNOVATION_MODES = ("gaussian", "empirical")
 MIN_REPLICATIONS = 100
 MAX_REFIT_FAILURE_RATE = 0.01
-# Augmented design bytes per stack of refits (16 replications on the
-# bundled data): bounds the working set, never the results.
+# Simulated-path bytes per block of replications (126 replications on the
+# bundled data) and augmented-design bytes per stack of refits within a
+# block (16): they bound the working set, never the results.
+PATH_BLOCK_BYTES = 8 << 20
 REFIT_STACK_BYTES = 3 << 20
 
 
@@ -68,6 +76,38 @@ def _ma_recursion(coef: np.ndarray, horizon: int) -> np.ndarray:
             acc += phi[..., h - i, :, :] @ coef[..., i - 1, :, :]
         phi[..., h, :, :] = acc
     return phi
+
+
+def _orthogonalize(phi: np.ndarray, cov: np.ndarray, reasons: dict[int, str]) -> None:
+    """Right-multiply each stacked response ``phi[c]`` by the lower Cholesky
+    factor of ``cov[c]``, in place, skipping the refits named in ``reasons``.
+
+    One batched factorization serves the stack.  Only when it fails is the
+    stack factored one refit at a time, and each failed refit is added to
+    ``reasons`` with the pivot that failed; the others get the same factor
+    either way.
+    """
+    good = [c for c in range(len(phi)) if c not in reasons]
+    try:
+        factors = np.linalg.cholesky(cov[good])
+    except np.linalg.LinAlgError:
+        factors = np.empty((len(good), *cov.shape[1:]))
+        for i, c in enumerate(good):
+            try:
+                factors[i] = np.linalg.cholesky(cov[c])
+            except np.linalg.LinAlgError:
+                reasons[c] = _pivot_reason(cov[c])
+                factors[i] = np.eye(cov.shape[1])
+    phi[good] = phi[good] @ factors[:, None]
+
+
+def _pivot_reason(cov: np.ndarray) -> str:
+    """Why ``cov`` has no Cholesky factor, in :func:`cholesky_lower`'s words."""
+    try:
+        cholesky_lower(cov)
+    except (NotPositiveDefiniteError, ValueError) as exc:
+        return str(exc)
+    return "matrix is not positive definite"
 
 
 def ma_coefficients(fit: VarFit, horizon: int) -> np.ndarray:
@@ -122,47 +162,48 @@ def irf_with_bands(
 
     point = orthogonalized_irf(fit, horizon) if orthogonalized else ma_coefficients(fit, horizon)
 
-    k = fit.n_vars
-    t_eff = fit.t_eff
-    n_steps = DEFAULT_BURN_IN + t_eff
+    k, p, t_eff = fit.n_vars, fit.p, fit.t_eff
+    n_rows = p + DEFAULT_BURN_IN + t_eff
+    m = k * p + 1
+    dof = t_eff - p - m
+    # the fewest blocks the budget allows, of near-equal size
+    n_blocks = -(-replications // max(1, PATH_BLOCK_BYTES // (n_rows * k * 8)))
+    block = -(-replications // n_blocks)
+    stack = max(1, REFIT_STACK_BYTES // ((t_eff - p) * (m + k) * 8))
     chol = cholesky_lower(fit.sigma_u)
     centered = fit.residuals - fit.residuals.mean(axis=0)
     mean = np.linalg.solve(np.eye(k) - fit.coef.sum(axis=0), fit.intercept)
 
-    shocks = np.empty((replications, n_steps, k))
-    for r in range(replications):
-        gen = substream(seed, r + 1)
-        if innovations == "gaussian":
-            shocks[r] = gen.standard_normal((n_steps, k)) @ chol.T
-        else:
-            shocks[r] = centered[gen.integers(0, t_eff, n_steps)]
-    paths = iterate_paths(fit.intercept, fit.coef, shocks, mean)[:, DEFAULT_BURN_IN :, :]
-    del shocks
-
-    p = fit.p
-    m = k * p + 1
-    dof = t_eff - p - m
-    stack = max(1, REFIT_STACK_BYTES // ((t_eff - p) * (m + k) * 8))
+    storage = np.empty(n_rows * k * block)
     draws = np.empty((replications, horizon + 1, k, k))
     ok = np.ones(replications, dtype=bool)
     failures: list[str] = []
-    for start in range(0, replications, stack):
-        augmented = _lagged_design(paths[start : start + stack], p, p, with_targets=True)
-        solved = solve_stacked_least_squares(augmented, m)
-        coef = solved.coefficients[:, 1:].reshape(-1, p, k, k).transpose(0, 1, 3, 2)
-        phi = _ma_recursion(coef, horizon)
-        for c in range(phi.shape[0]):
-            reason = solved.failures.get(c)
-            if reason is None and orthogonalized:
-                try:
-                    phi[c] = phi[c] @ cholesky_lower(solved.residual_cross[c] / dof)
-                except NotPositiveDefiniteError as exc:
-                    reason = str(exc)
-            if reason is not None:
-                ok[start + c] = False
+    for first in range(0, replications, block):
+        b = min(block, replications - first)
+        paths = storage[: n_rows * k * b].reshape(n_rows, k, b)
+        paths[:p] = mean[:, None]
+        for j in range(b):
+            gen = substream(seed, first + j + 1)
+            if innovations == "gaussian":
+                paths[p:, :, j] = gen.standard_normal((n_rows - p, k)) @ chol.T
+            else:
+                paths[p:, :, j] = centered[gen.integers(0, t_eff, n_rows - p)]
+        recurse_paths(paths, fit.intercept, fit.coef)
+        sample = paths[p + DEFAULT_BURN_IN :].transpose(2, 0, 1)
+        for start in range(0, b, stack):
+            augmented = _lagged_design(sample[start : start + stack], p, p, with_targets=True)
+            solved = solve_stacked_least_squares(augmented, m)
+            coef = solved.coefficients[:, 1:].reshape(-1, p, k, k).transpose(0, 1, 3, 2)
+            phi = _ma_recursion(coef, horizon)
+            reasons = dict(solved.failures)
+            if orthogonalized:
+                _orthogonalize(phi, solved.residual_cross / dof, reasons)
+            at = first + start
+            draws[at : at + phi.shape[0]] = phi
+            for c in sorted(reasons):
+                ok[at + c] = False
                 if len(failures) < 5:
-                    failures.append(f"replication {start + c}: {reason}")
-        draws[start : start + phi.shape[0]] = phi
+                    failures.append(f"replication {at + c}: {reasons[c]}")
     n_failed = int((~ok).sum())
     if n_failed > MAX_REFIT_FAILURE_RATE * replications:
         raise NumericError(
@@ -171,7 +212,8 @@ def irf_with_bands(
         )
 
     tail = (1.0 - level) / 2.0
-    lower, upper = np.quantile(draws[ok], [tail, 1.0 - tail], axis=0)
+    kept = draws[ok] if n_failed else draws
+    lower, upper = np.quantile(kept, [tail, 1.0 - tail], axis=0, overwrite_input=True)
     return IrfResult(
         horizon=horizon,
         responses=point,

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, outputs, determinism, JSON schemas."""
 
+import io
 import json
 import os
 import subprocess
@@ -34,6 +35,32 @@ def cli_with_threads(threads: str, *argv) -> bytes:
     return proc.stdout
 
 
+# Bound on the peak-RSS growth of `irf` from 100 to 2000 replications on
+# the bundled data.  Measured: 7.8 MB (Linux x86-64, one OpenBLAS thread):
+# the draws, plus path blocks of 125 replications instead of one of 100.
+IRF_RSS_GROWTH_MB = 20.0
+
+
+def child_peak_rss_mb(*argv) -> float:
+    """Run the CLI in a fresh one-thread interpreter; its own peak RSS in MB."""
+    script = (
+        "import resource, runpy, sys\n"
+        "sys.argv[0] = 'sleepvar'\n"
+        "try:\n"
+        "    runpy.run_module('sleepvar.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # ru_maxrss is in bytes on macOS, in KiB elsewhere
+    return int(proc.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def test_runtime_loads_no_scipy():
     # The F and normal tails are in-repo: a CLI process pays numpy's import
     # and nothing heavier.  A fresh interpreter, since the oracle tests load
@@ -53,6 +80,20 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_irf_peak_memory_flat_in_replications(tmp_path, capsys):
+    # bootstrap replications run in blocks of fixed size, so peak memory
+    # grows only by the response draws the quantiles need (2.2 KB per
+    # replication here); a (replications x (200+T) x K) array would add
+    # 130 MB at 2000 replications
+    model = tmp_path / "model.json"
+    run(capsys, "ingest", "--oura", SLEEP, "--emood", MOOD, "-o", str(tmp_path / "m.csv"))
+    run(capsys, "fit", str(tmp_path / "m.csv"), "--lags", "2", "-o", str(model))
+    small, large = (child_peak_rss_mb("irf", str(model), "--replications", str(reps),
+                                      "-o", str(tmp_path / f"irf{reps}.csv"))
+                    for reps in (100, 2000))
+    assert large - small < IRF_RSS_GROWTH_MB, (small, large)
 
 
 class TestExitCodes:
@@ -197,6 +238,16 @@ class TestAnalysisCommands:
         assert "L2.elevated" in out
         fit = sv.load_model(model)
         assert fit.p == 2 and fit.var_names[0] == "score"
+
+    def test_fit_model_to_stdout(self, merged, tmp_path, capsys, monkeypatch):
+        model = tmp_path / "model.json"
+        run(capsys, "fit", merged, "--lags", "2", "-o", str(model))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "fit", merged, "--lags", "2", "-o", "-")
+        assert code == 0 and err == ""
+        assert out == model.read_text()
+        assert sv.load_model(io.StringIO(out)).p == 2
+        assert not (tmp_path / "-").exists()
 
     def test_granger_table(self, merged, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sleepvar as sv
+import sleepvar.irf as irf_mod
 from sleepvar.errors import DataError, NumericError
 from sleepvar.linalg import cholesky_lower, solve_least_squares
 from sleepvar.simulate import DEFAULT_BURN_IN, iterate_paths, substream
@@ -52,8 +53,10 @@ def shock_propagation_oracle(fit: sv.VarFit, horizon: int) -> np.ndarray:
     return out
 
 
-def looped_bands(fit: sv.VarFit, horizon: int, level: float, replications: int, seed: int):
-    """Reference bootstrap: one QR least-squares refit per replication."""
+def looped_bands(fit: sv.VarFit, horizon: int, level: float, replications: int, seed: int,
+                 skip=()):
+    """Reference bootstrap: one QR least-squares refit per replication,
+    leaving out the replications in ``skip``."""
     k, p, t_eff = fit.n_vars, fit.p, fit.t_eff
     chol = cholesky_lower(fit.sigma_u)
     shocks = np.stack([substream(seed, r + 1).standard_normal((DEFAULT_BURN_IN + t_eff, k))
@@ -61,7 +64,9 @@ def looped_bands(fit: sv.VarFit, horizon: int, level: float, replications: int, 
     mean = np.linalg.solve(np.eye(k) - fit.coef.sum(axis=0), fit.intercept)
     paths = iterate_paths(fit.intercept, fit.coef, shocks, mean)[:, DEFAULT_BURN_IN:]
     draws = []
-    for path in paths:
+    for r, path in enumerate(paths):
+        if r in skip:
+            continue
         design = np.column_stack([np.ones(t_eff - p)]
                                  + [path[p - lag : t_eff - lag] for lag in range(1, p + 1)])
         coef, resid, _ = solve_least_squares(design, path[p:])
@@ -202,6 +207,43 @@ class TestIrfWithBands:
         assert np.abs(res.lower - lower).max() <= 1e-12
         assert np.abs(res.upper - upper).max() <= 1e-12
         assert res.n_failed == 0 and res.failures == ()
+
+    def test_non_positive_definite_refit_is_masked_and_named(self, monkeypatch):
+        # one refit's residual cross-product is made indefinite: the stack's
+        # batched Cholesky fails, and only that replication may be dropped
+        fit = sv.fit_var(sv.simulate_var(VAR2_SPEC, 400, seed=6), 2)
+        solve = irf_mod.solve_stacked_least_squares
+        stacks = []
+
+        def indefinite_second_refit(augmented, m):
+            solved = solve(augmented, m)
+            if not stacks:
+                solved.residual_cross[1] = np.diag([1.0, -1.0])
+            stacks.append(len(augmented))
+            return solved
+
+        monkeypatch.setattr(irf_mod, "solve_stacked_least_squares", indefinite_second_refit)
+        res = sv.irf_with_bands(fit, horizon=6, replications=150, seed=4)
+        assert stacks[0] > 2
+        assert res.n_failed == 1
+        assert len(res.failures) == 1
+        assert res.failures[0].startswith("replication 1: matrix is not positive definite: pivot 1 ")
+        lower, upper = looped_bands(fit, 6, 0.95, 150, 4, skip={1})
+        assert np.abs(res.lower - lower).max() <= 1e-12
+        assert np.abs(res.upper - upper).max() <= 1e-12
+
+    @pytest.mark.parametrize("which", ["dataset", "k2"])
+    def test_bands_independent_of_block_partition(self, which, dataset_fit, monkeypatch):
+        fit = dataset_fit if which == "dataset" else sv.fit_var(
+            sv.simulate_var(VAR2_SPEC, 400, seed=6), 2)
+        per_replication = (fit.p + DEFAULT_BURN_IN + fit.t_eff) * fit.n_vars * 8
+        bands = set()
+        # one replication per block, an odd block size, the whole run in one block
+        for budget in (1, 7 * per_replication, 1 << 40):
+            monkeypatch.setattr(irf_mod, "PATH_BLOCK_BYTES", budget)
+            res = sv.irf_with_bands(fit, horizon=6, replications=120, seed=5)
+            bands.add(res.lower.tobytes() + res.upper.tobytes())
+        assert len(bands) == 1
 
     def test_band_convergence_in_replications(self):
         fit = sv.fit_var(sv.simulate_var(VAR2_SPEC, 2000, seed=5000), 2)

@@ -8,6 +8,7 @@ import pytest
 
 import sleepvar as sv
 from sleepvar.errors import DataError, ModelFormatError
+from sleepvar.simulate import iterate_paths, substream
 
 from conftest import VAR2_SPEC
 
@@ -77,6 +78,54 @@ class TestSimulateVar:
     def test_t_validation(self):
         with pytest.raises(DataError):
             sv.simulate_var(VAR2_SPEC, 0, seed=1)
+
+
+def stepwise_paths(intercept, coef, innovations, start):
+    """Oracle: y_t = nu + sum_i A_i y_{t-i} + u_t, one scalar at a time."""
+    b, n, k = innovations.shape
+    p = len(coef)
+    out = np.empty((b, n, k))
+    for r in range(b):
+        history = [[float(x) for x in np.broadcast_to(start, (b, k))[r]] for _ in range(p)]
+        for t in range(n):
+            y = []
+            for u in range(k):
+                acc = float(intercept[u]) + float(innovations[r, t, u])
+                for lag in range(1, p + 1):
+                    prev = history[-lag]
+                    acc += sum(float(coef[lag - 1][u][v]) * prev[v] for v in range(k))
+                y.append(acc)
+            history.append(y)
+            out[r, t] = y
+    return out
+
+
+class TestIteratePaths:
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    @pytest.mark.parametrize("b", [1, 7])
+    def test_matches_stepwise_oracle(self, k, p, b):
+        gen = substream(k * 100 + p * 10 + b, 3)
+        coef = gen.standard_normal((p, k, k)) * (0.3 / max(k * p, 1))
+        intercept = gen.standard_normal(k)
+        innovations = gen.standard_normal((b, 40, k)) * 2.0
+        start = gen.standard_normal((b, k))
+        got = iterate_paths(intercept, coef, innovations, start)
+        want = stepwise_paths(intercept, coef, innovations, start)
+        assert got.shape == (b, 40, k)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_path_independent_of_its_batch(self, k):
+        # a path's bits do not depend on the batch size or its column
+        gen = substream(k, 4)
+        coef = gen.standard_normal((2, k, k)) * 0.15
+        intercept = gen.standard_normal(k)
+        innovations = gen.standard_normal((9, 30, k))
+        batch = iterate_paths(intercept, coef, innovations, np.zeros(k))
+        for lo, hi in ((0, 1), (3, 4), (8, 9), (1, 4), (2, 9)):
+            part = iterate_paths(intercept, coef, innovations[lo:hi], np.zeros(k))
+            assert np.array_equal(part, batch[lo:hi])
 
 
 class TestNoiseGenerators:
