@@ -12,9 +12,9 @@ is bit-identical for a given seed regardless of scheduling, and replication
 r's draws do not change when the replication count grows.
 
 The bootstrap runs one block of replications at a time: draw, path
-recursion, refits, MA recursion.  A block's paths live in one time-major
-buffer of about :data:`PATH_BLOCK_BYTES`, filled by the replications'
-draws and advanced by :func:`~sleepvar.simulate.recurse_paths`.  Within a
+recursion, refits, MA recursion.  A block's shocks and paths take about
+:data:`PATH_BLOCK_BYTES`; the paths run through
+:func:`~sleepvar.simulate.iterate_paths` in one time-major buffer.  Within a
 block the refits run in stacks of about :data:`REFIT_STACK_BYTES` of
 design: each stack's lagged designs come from the estimator's own builder,
 and one QR per augmented matrix [X | Y], made in one LAPACK call per
@@ -35,13 +35,13 @@ import numpy as np
 
 from .errors import DataError, NotPositiveDefiniteError, NumericError
 from .linalg import cholesky_lower, solve_stacked_least_squares
-from .simulate import DEFAULT_BURN_IN, recurse_paths, substream
+from .simulate import DEFAULT_BURN_IN, iterate_paths, substream
 from .var import VarFit, _lagged_design
 
 INNOVATION_MODES = ("gaussian", "empirical")
 MIN_REPLICATIONS = 100
 MAX_REFIT_FAILURE_RATE = 0.01
-# Simulated-path bytes per block of replications (126 replications on the
+# Shock and path bytes per block of replications (63 replications on the
 # bundled data) and augmented-design bytes per stack of refits within a
 # block (16): they bound the working set, never the results.
 PATH_BLOCK_BYTES = 8 << 20
@@ -163,33 +163,31 @@ def irf_with_bands(
     point = orthogonalized_irf(fit, horizon) if orthogonalized else ma_coefficients(fit, horizon)
 
     k, p, t_eff = fit.n_vars, fit.p, fit.t_eff
-    n_rows = p + DEFAULT_BURN_IN + t_eff
+    n_steps = DEFAULT_BURN_IN + t_eff
     m = k * p + 1
     dof = t_eff - p - m
     # the fewest blocks the budget allows, of near-equal size
-    n_blocks = -(-replications // max(1, PATH_BLOCK_BYTES // (n_rows * k * 8)))
+    n_blocks = -(-replications // max(1, PATH_BLOCK_BYTES // ((2 * n_steps + p) * k * 8)))
     block = -(-replications // n_blocks)
     stack = max(1, REFIT_STACK_BYTES // ((t_eff - p) * (m + k) * 8))
     chol = cholesky_lower(fit.sigma_u)
     centered = fit.residuals - fit.residuals.mean(axis=0)
     mean = np.linalg.solve(np.eye(k) - fit.coef.sum(axis=0), fit.intercept)
 
-    storage = np.empty(n_rows * k * block)
+    storage = np.empty(block * n_steps * k)
     draws = np.empty((replications, horizon + 1, k, k))
     ok = np.ones(replications, dtype=bool)
     failures: list[str] = []
     for first in range(0, replications, block):
         b = min(block, replications - first)
-        paths = storage[: n_rows * k * b].reshape(n_rows, k, b)
-        paths[:p] = mean[:, None]
+        shocks = storage[: b * n_steps * k].reshape(b, n_steps, k)
         for j in range(b):
             gen = substream(seed, first + j + 1)
             if innovations == "gaussian":
-                paths[p:, :, j] = gen.standard_normal((n_rows - p, k)) @ chol.T
+                shocks[j] = gen.standard_normal((n_steps, k)) @ chol.T
             else:
-                paths[p:, :, j] = centered[gen.integers(0, t_eff, n_rows - p)]
-        recurse_paths(paths, fit.intercept, fit.coef)
-        sample = paths[p + DEFAULT_BURN_IN :].transpose(2, 0, 1)
+                shocks[j] = centered[gen.integers(0, t_eff, n_steps)]
+        sample = iterate_paths(fit.intercept, fit.coef, shocks, mean)[:, DEFAULT_BURN_IN:]
         for start in range(0, b, stack):
             augmented = _lagged_design(sample[start : start + stack], p, p, with_targets=True)
             solved = solve_stacked_least_squares(augmented, m)
@@ -204,6 +202,7 @@ def irf_with_bands(
                 ok[at + c] = False
                 if len(failures) < 5:
                     failures.append(f"replication {at + c}: {reasons[c]}")
+        del sample  # frees the block's paths before the next block's
     n_failed = int((~ok).sum())
     if n_failed > MAX_REFIT_FAILURE_RATE * replications:
         raise NumericError(

@@ -6,7 +6,7 @@ generators below; batch consumers (the IRF bootstrap) key one stream per
 replication, so results never depend on execution order or batch size.
 The keying is part of the public behavior and stays fixed across versions.
 
-Batches of paths run through one recursion, :func:`recurse_paths`, over a
+Batches of paths run through one recursion, :func:`iterate_paths`, over a
 time-major buffer with one column per path.  Each step is one product of
 the lag window with the previous p rows, and a path's values do not depend
 on the batch it runs in, so the bootstrap can run in blocks of any size.
@@ -94,39 +94,6 @@ class VarProcessSpec:
         return np.linalg.solve(np.eye(self.n_vars) - a_sum, self.intercept)
 
 
-def recurse_paths(paths: np.ndarray, intercept: np.ndarray, coef: np.ndarray) -> None:
-    """Run the VAR recursion in place over a time-major batch of paths.
-
-    ``paths`` has shape (p+n, K, B), one column per path: rows :p hold the
-    pre-sample values, rows p: the innovations on entry and the path on
-    exit.  Each step is one product of the lag window [A_p ... A_1] with
-    the p rows before it, added to the innovation and intercept.  A path's
-    values do not depend on the batch size nor on its column in the batch.
-    """
-    p = coef.shape[0]
-    n_rows, k, b = paths.shape
-    if b == 1:
-        # numpy hands a one-column product to gemv, whose sums are ordered
-        # differently from gemm's; a duplicate column keeps it on gemm.
-        wide = np.repeat(paths, 2, axis=2)
-        recurse_paths(wide, intercept, coef)
-        paths[...] = wide[..., :1]
-        return
-    paths[p:] += intercept[:, None]
-    if p == 0:
-        return
-    # A one-row product also goes to gemv, whose result depends on the
-    # column's position; a zero row pads K = 1 to two.
-    lags = np.zeros((max(k, 2), p * k))
-    lags[:k] = coef[::-1].transpose(1, 0, 2).reshape(k, p * k)
-    rows = paths.reshape(n_rows * k, b)
-    step = np.empty((lags.shape[0], b))
-    head = step[:k]
-    for i in range(n_rows - p):
-        lags.dot(rows[i * k : (i + p) * k], out=step)
-        paths[i + p] += head
-
-
 def iterate_paths(
     intercept: np.ndarray,
     coef: np.ndarray,
@@ -136,16 +103,34 @@ def iterate_paths(
     """Run the VAR recursion for a batch of innovation paths.
 
     ``innovations`` has shape (B, n, K); ``start`` (broadcastable to (B, K))
-    seeds the p pre-sample values.  Returns paths of shape (B, n, K), the
-    same values :func:`recurse_paths` gives each path in any batch.
+    seeds the p pre-sample values.  Returns paths of shape (B, n, K).
+
+    The paths are advanced in one time-major (p+n, K, B) buffer, one column
+    per path: each step is one product of the lag window [A_p ... A_1] with
+    the p rows before it, added in place to the innovation and intercept.
+    A path's values do not depend on the batch size nor on its place in it.
     """
     b, n, k = innovations.shape
     p = coef.shape[0]
-    paths = np.empty((p + n, k, b))
+    # numpy hands a one-column product to gemv, whose sums are ordered
+    # differently from gemm's; a duplicate column keeps it on gemm.
+    width = max(b, 2)
+    paths = np.empty((p + n, k, width))
     paths[:p] = np.broadcast_to(start, (b, k)).T
     paths[p:] = innovations.transpose(1, 2, 0)
-    recurse_paths(paths, intercept, coef)
-    return paths[p:].transpose(2, 0, 1)
+    paths[p:] += intercept[:, None]
+    if p:
+        # A one-row product also goes to gemv, whose result depends on the
+        # column's position; a zero row pads K = 1 to two.
+        lags = np.zeros((max(k, 2), p * k))
+        lags[:k] = coef[::-1].transpose(1, 0, 2).reshape(k, p * k)
+        rows = paths.reshape((p + n) * k, width)
+        step = np.empty((lags.shape[0], width))
+        head = step[:k]
+        for i in range(n):
+            lags.dot(rows[i * k : (i + p) * k], out=step)
+            paths[i + p] += head
+    return paths[p:, :, :b].transpose(2, 0, 1)
 
 
 def simulate_var(spec: VarProcessSpec, t: int, seed: int) -> SeriesFrame:

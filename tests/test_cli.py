@@ -36,8 +36,8 @@ def cli_with_threads(threads: str, *argv) -> bytes:
 
 
 # Bound on the peak-RSS growth of `irf` from 100 to 2000 replications on
-# the bundled data.  Measured: 7.8 MB (Linux x86-64, one OpenBLAS thread):
-# the draws, plus path blocks of 125 replications instead of one of 100.
+# the bundled data.  Measured: 8.0 MB (Linux x86-64, one OpenBLAS thread):
+# the draws, plus blocks of 63 replications instead of two of 50.
 IRF_RSS_GROWTH_MB = 20.0
 
 

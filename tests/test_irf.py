@@ -236,7 +236,8 @@ class TestIrfWithBands:
     def test_bands_independent_of_block_partition(self, which, dataset_fit, monkeypatch):
         fit = dataset_fit if which == "dataset" else sv.fit_var(
             sv.simulate_var(VAR2_SPEC, 400, seed=6), 2)
-        per_replication = (fit.p + DEFAULT_BURN_IN + fit.t_eff) * fit.n_vars * 8
+        # shock and path bytes of one replication
+        per_replication = (2 * (DEFAULT_BURN_IN + fit.t_eff) + fit.p) * fit.n_vars * 8
         bands = set()
         # one replication per block, an odd block size, the whole run in one block
         for budget in (1, 7 * per_replication, 1 << 40):
