@@ -1,14 +1,21 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 data or numeric error.  Results go
-to stdout or the ``-o`` path; diagnostics go to stderr.  Every subcommand
-is deterministic for fixed inputs, flags, and seed.
+Exit codes: 0 success, 1 usage error, 2 data or numeric error.  Diagnostics
+go to stderr.  Every subcommand is deterministic for fixed inputs, flags,
+and seed.
+
+One output rule: each subcommand writes one document, which ends in a
+newline, to stdout (no ``-o``, or ``-o -``) or to the ``-o`` path;
+``--json`` swaps the text document for its JSON view.  ``fit`` prints its
+coefficient report, and ``fit -o -`` (or ``--json``) prints the model
+document instead.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import dataclasses
+import functools
 import json
 import sys
 
@@ -28,25 +35,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _sink(out: str | None):
+    return sys.stdout if out is None or out == "-" else out
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        write_text(out, text)
+    """Write one document to stdout or the path ``out``, ending it in a newline."""
+    write_text(_sink(out), text if text.endswith("\n") else text + "\n")
 
 
-def _emit_json(doc, out: str | None) -> None:
-    _emit(json.dumps(doc, indent=2) + "\n", out)
+def _show(args, result, text, view) -> None:
+    """Emit ``result`` as JSON (``view(result)``) under ``--json``, else as ``text(result)``."""
+    _emit(json.dumps(view(result), indent=2) if args.json else text(result), args.output)
 
 
 def _note(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _load_frame(path: str) -> fr.SeriesFrame:
-    return fr.read_frame_csv(path)
 
 
 def _pick_column(frame: fr.SeriesFrame, column: str | None) -> str:
@@ -75,77 +79,70 @@ def _cmd_ingest(args) -> int:
             f"imputed {before - after} missing cell(s) with policy={args.impute} "
             f"max_gap={args.max_gap}; {after} remain missing"
         )
-    buf = io.StringIO()
-    fr.write_frame_csv(merged, buf)
-    _emit(buf.getvalue(), args.output)
+    fr.write_frame_csv(merged, _sink(args.output))
     return 0
 
 
 def _cmd_describe(args) -> int:
-    frame = _load_frame(args.frame)
+    frame = fr.read_frame_csv(args.frame)
     names = [args.column] if args.column else list(frame.names)
-    stats = {name: fr.describe(frame, name) for name in names}
-    if args.json:
-        _emit_json({name: report.summary_dict(s) for name, s in stats.items()}, args.output)
-    else:
-        blocks = [f"{name}\n{report.format_summary(s)}" for name, s in stats.items()]
-        _emit("\n\n".join(blocks) + "\n", args.output)
+    _show(
+        args,
+        {name: fr.describe(frame, name) for name in names},
+        lambda stats: "\n\n".join(
+            f"{name}\n{report.format_summary(s)}" for name, s in stats.items()
+        ),
+        lambda stats: {name: dataclasses.asdict(s) for name, s in stats.items()},
+    )
     return 0
 
 
 def _cmd_adf(args) -> int:
-    frame = _load_frame(args.frame)
+    frame = fr.read_frame_csv(args.frame)
     name = _pick_column(frame, args.column)
     regression = "constant_and_trend" if args.trend else "constant"
     res = stationarity.adf_test(frame.column(name), regression=regression, max_lag=args.maxlag)
-    if args.json:
-        _emit_json(report.adf_dict(res), args.output)
-    else:
-        _emit(report.format_adf(res) + "\n", args.output)
+    _show(args, res, report.format_adf, dataclasses.asdict)
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    frame = _load_frame(args.frame)
+    frame = fr.read_frame_csv(args.frame)
     name = _pick_column(frame, args.column)
     series = frame.column(name)
     dec = stationarity.classical_decompose(series, period=args.period)
-    if args.json:
-        _emit_json(report.decomposition_dict(series, dec), args.output)
-    else:
-        _emit(report.decomposition_csv(series, dec), args.output)
+    _show(
+        args,
+        dec,
+        lambda d: report.decomposition_csv(series, d),
+        lambda d: report.decomposition_dict(series, d),
+    )
     if args.svg:
         _emit(svgplot.decomposition_figure(series, dec), args.svg)
     return 0
 
 
 def _cmd_pacf(args) -> int:
-    frame = _load_frame(args.frame)
+    frame = fr.read_frame_csv(args.frame)
     name = _pick_column(frame, args.column)
     series = frame.column(name)
     n_lags = args.nlags if args.nlags is not None else min(40, series.size // 2 - 1)
     res = stationarity.pacf(series, n_lags)
-    if args.json:
-        _emit_json(report.pacf_dict(res), args.output)
-    else:
-        _emit(report.pacf_csv(res), args.output)
+    _show(args, res, report.pacf_csv, report.pacf_dict)
     if args.svg:
         _emit(svgplot.pacf_figure(res), args.svg)
     return 0
 
 
 def _cmd_select_order(args) -> int:
-    frame = _load_frame(args.frame)
+    frame = fr.read_frame_csv(args.frame)
     sel = var.select_order(frame, args.maxlags, override=args.override)
-    if args.json:
-        _emit_json(report.order_selection_dict(sel), args.output)
-    else:
-        _emit(report.format_order_selection(sel) + "\n", args.output)
+    _show(args, sel, report.format_order_selection, report.order_selection_dict)
     return 0
 
 
 def _cmd_fit(args) -> int:
-    frame = _load_frame(args.frame)
+    frame = fr.read_frame_csv(args.frame)
     fit = var.fit_var(frame, args.lags)
     if args.output and args.output != "-":
         var.save_model(fit, args.output)
@@ -153,7 +150,7 @@ def _cmd_fit(args) -> int:
     if args.json or args.output == "-":
         var.save_model(fit, sys.stdout)
     else:
-        sys.stdout.write(report.format_fit_report(fit) + "\n")
+        _emit(report.format_fit_report(fit), None)
     return 0
 
 
@@ -163,10 +160,8 @@ def _cmd_granger(args) -> int:
         results = [inference.granger_test(fit, args.causing, args.caused, alpha=args.alpha)]
     else:
         results = inference.granger_all_pairs(fit, args.causing, alpha=args.alpha)
-    if args.json:
-        _emit_json([report.granger_dict(r) for r in results], args.output)
-    else:
-        _emit(report.format_granger_table(results) + "\n", args.output)
+    _show(args, results, report.format_granger_table,
+          lambda rs: [dataclasses.asdict(r) for r in rs])
     return 0
 
 
@@ -181,10 +176,7 @@ def _cmd_irf(args) -> int:
         orthogonalized=not args.no_orth,
         innovations="empirical" if args.empirical else "gaussian",
     )
-    if args.json:
-        _emit_json(report.irf_dict(res), args.output)
-    else:
-        _emit(report.irf_csv(res), args.output)
+    _show(args, res, report.irf_csv, report.irf_dict)
     if args.svg:
         _emit(svgplot.irf_figure(res), args.svg)
     return 0
@@ -193,12 +185,11 @@ def _cmd_irf(args) -> int:
 def _cmd_simulate(args) -> int:
     spec = simulate.load_process_spec(args.spec)
     sim = simulate.simulate_var(spec, args.t, args.seed)
-    buf = io.StringIO()
-    fr.write_frame_csv(sim, buf)
-    _emit(buf.getvalue(), args.output)
+    fr.write_frame_csv(sim, _sink(args.output))
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as built, so one serves every main() call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sleepvar", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sleepvar {__version__}")

@@ -189,7 +189,7 @@ def irf_with_bands(
                 shocks[j] = centered[gen.integers(0, t_eff, n_steps)]
         sample = iterate_paths(fit.intercept, fit.coef, shocks, mean)[:, DEFAULT_BURN_IN:]
         for start in range(0, b, stack):
-            augmented = _lagged_design(sample[start : start + stack], p, p, with_targets=True)
+            augmented = _lagged_design(sample[start : start + stack], p, with_targets=True)
             solved = solve_stacked_least_squares(augmented, m)
             coef = solved.coefficients[:, 1:].reshape(-1, p, k, k).transpose(0, 1, 3, 2)
             phi = _ma_recursion(coef, horizon)

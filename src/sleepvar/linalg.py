@@ -150,14 +150,19 @@ def solve_stacked_least_squares(augmented, m: int) -> StackedLeastSquares:
     return StackedLeastSquares(coef, cross, failures)
 
 
+def is_symmetric(a: np.ndarray) -> bool:
+    """Whether square ``a`` equals its transpose to ``SYMMETRY_RTOL`` times its largest entry."""
+    scale = np.abs(a).max(initial=0.0)
+    return bool(np.abs(a - a.T).max(initial=0.0) <= SYMMETRY_RTOL * max(scale, 1e-300))
+
+
 def cholesky_lower(m) -> np.ndarray:
     """Lower-triangular P with ``P @ P.T == m`` for symmetric positive definite m."""
     a = as_matrix(m)
     k = a.shape[0]
     if a.shape[1] != k:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    scale = np.abs(a).max(initial=0.0)
-    if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_RTOL * max(scale, 1e-300):
+    if not is_symmetric(a):
         raise ValueError("matrix is not symmetric within tolerance")
 
     low = np.zeros((k, k))

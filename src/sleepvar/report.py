@@ -3,6 +3,10 @@
 Formatting conventions: selection criteria print with 4 significant digits,
 coefficients and their standard errors with 6 decimals, test statistics and
 p-values with 3 decimals.  All output is deterministic.
+
+Only results that need reshaping have a JSON view here.  The JSON of a flat
+result (``SummaryStats``, ``AdfResult``, ``GrangerResult``) is
+``dataclasses.asdict``, so its field order is the key order of the document.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from .frame import SummaryStats
 from .inference import GrangerResult
 from .irf import IrfResult
 from .stationarity import AdfResult, Decomposition, PacfResult
-from .var import CRITERIA, OrderSelection, VarFit
+from .var import CRITERIA, OrderSelection, VarFit, stack_params
 
 
 def _table(rows: list[list[str]], align: str = "r", pad: int = 2) -> str:
@@ -39,17 +43,6 @@ def format_summary(stats: SummaryStats) -> str:
     return _table(rows)
 
 
-def summary_dict(stats: SummaryStats) -> dict:
-    return {
-        "total": stats.total,
-        "missing": stats.missing,
-        "mean": stats.mean,
-        "sd": stats.sd,
-        "max": stats.max,
-        "min": stats.min,
-    }
-
-
 def format_adf(res: AdfResult) -> str:
     crit = "   ".join(f"{k}: {v:.3f}" for k, v in res.critical_values.items())
     rows = [
@@ -61,17 +54,6 @@ def format_adf(res: AdfResult) -> str:
         ["regression", res.regression],
     ]
     return _table(rows, align="l")
-
-
-def adf_dict(res: AdfResult) -> dict:
-    return {
-        "statistic": res.statistic,
-        "p_value": res.p_value,
-        "used_lag": res.used_lag,
-        "n_obs": res.n_obs,
-        "critical_values": dict(res.critical_values),
-        "regression": res.regression,
-    }
 
 
 def format_order_selection(sel: OrderSelection) -> str:
@@ -101,18 +83,10 @@ def order_selection_dict(sel: OrderSelection) -> dict:
 
 def format_fit_report(fit: VarFit) -> str:
     labels = fit.lag_labels()
-
-    def stack(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
-        out = np.empty((fit.n_params, fit.n_vars))
-        out[0] = head
-        if fit.p:
-            out[1:] = tail.transpose(0, 2, 1).reshape(-1, fit.n_vars)
-        return out
-
     params = fit.params_matrix()
-    se = stack(fit.intercept_se, fit.coef_se)
-    tt = stack(fit.intercept_t, fit.coef_t)
-    pp = stack(fit.intercept_p, fit.coef_p)
+    se = stack_params(fit.intercept_se, fit.coef_se)
+    tt = stack_params(fit.intercept_t, fit.coef_t)
+    pp = stack_params(fit.intercept_p, fit.coef_p)
 
     blocks = [
         f"VAR({fit.p}) estimation, {fit.n_vars} variable(s), {fit.t_eff} observations"
@@ -145,20 +119,6 @@ def format_granger_table(results: list[GrangerResult]) -> str:
             f"({r.df_num}, {r.df_den})",
         ])
     return _table(rows, align="l")
-
-
-def granger_dict(r: GrangerResult) -> dict:
-    return {
-        "causing": list(r.causing),
-        "caused": list(r.caused),
-        "statistic": r.statistic,
-        "critical_value": r.critical_value,
-        "p_value": r.p_value,
-        "df_num": r.df_num,
-        "df_den": r.df_den,
-        "alpha": r.alpha,
-        "reject_null": r.reject_null,
-    }
 
 
 def decomposition_dict(observed: np.ndarray, dec: Decomposition) -> dict:

@@ -20,20 +20,44 @@ from typing import NamedTuple
 import numpy as np
 
 from ._util import TextSource, freeze, norm_cdf, read_text, write_text
-from .errors import DataError, ModelFormatError, NumericError, SingularDesignError
+from .errors import DataError, ModelFormatError, NotPositiveDefiniteError, NumericError, SingularDesignError
 from .frame import SeriesFrame
 from .linalg import (
     augmented_r,
     check_rank,
     companion_matrix,
+    is_symmetric,
     log_det_pd,
     solve_least_squares,
     spectral_radius,
 )
-from .errors import NotPositiveDefiniteError
 
 MODEL_SCHEMA_VERSION = 1
 CRITERIA = ("aic", "bic", "fpe", "hqic")
+
+
+def lag_labels(names, p: int) -> list[str]:
+    """Names of the stacked design columns: const, L1.<v1>, ..., Lp.<vK>."""
+    labels = ["const"]
+    for lag in range(1, p + 1):
+        labels.extend(f"L{lag}.{name}" for name in names)
+    return labels
+
+
+def stack_params(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Per-equation values stacked in design-column order, shape (K*p+1, K).
+
+    ``head`` (K,) is the constant's row; ``tail[l][i][j]`` (p, K, K) belongs
+    to variable j at lag l+1 in equation i, the layout of ``VarFit.coef``.
+    """
+    k = head.shape[0]
+    return np.concatenate([head[None, :], tail.transpose(0, 2, 1).reshape(-1, k)])
+
+
+def unstack_params(stacked: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`stack_params`: the (K,) head and the (p, K, K) tail."""
+    k = stacked.shape[1]
+    return stacked[0], stacked[1:].reshape(p, k, k).transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -81,6 +105,8 @@ class VarFit:
                 raise DataError(f"{name} must have shape {want}, got {arr.shape}")
             if not np.isfinite(arr).all():
                 raise DataError(f"{name} contains non-finite entries")
+            if name in ("sigma_u", "sigma_u_ml", "normal_matrix_inverse") and not is_symmetric(arr):
+                raise DataError(f"{name} is not symmetric")
             object.__setattr__(self, name, freeze(arr))
 
     @property
@@ -94,18 +120,11 @@ class VarFit:
 
     def lag_labels(self) -> list[str]:
         """Row labels of the stacked design: const, L1.<v1>, ..., Lp.<vK>."""
-        labels = ["const"]
-        for lag in range(1, self.p + 1):
-            labels.extend(f"L{lag}.{name}" for name in self.var_names)
-        return labels
+        return lag_labels(self.var_names, self.p)
 
     def params_matrix(self) -> np.ndarray:
         """Stacked per-equation parameters, shape (n_params, K)."""
-        out = np.empty((self.n_params, self.n_vars))
-        out[0] = self.intercept
-        if self.p:
-            out[1:] = self.coef.transpose(0, 2, 1).reshape(self.n_vars * self.p, self.n_vars)
-        return out
+        return stack_params(self.intercept, self.coef)
 
     def stability_radius(self) -> float:
         return spectral_radius(companion_matrix(self.coef)) if self.p else 0.0
@@ -148,27 +167,27 @@ def _values_or_raise(frame: SeriesFrame) -> np.ndarray:
     return np.asarray(frame.values)
 
 
-def _lagged_design(values: np.ndarray, p: int, trim: int, with_targets: bool = False):
-    """Design/targets using rows trim..T-1 as regression targets (trim >= p).
+def _lagged_design(values: np.ndarray, p: int, with_targets: bool = False):
+    """Design/targets using rows p..T-1 as regression targets.
 
     ``values`` is (..., T, K); leading axes stack independent series (the
-    bootstrap paths), each getting its own (..., T-trim, K*p+1) design.
+    bootstrap paths), each getting its own (..., T-p, K*p+1) design.
     Each design is stored column by column (Fortran order), the layout
     LAPACK factors, so the lag copies run along whole columns however small
     K is.  ``with_targets`` returns the augmented [design | targets] as one
     array instead of the pair.
     """
     *batch, t_total, k = values.shape
-    n = t_total - trim
+    n = t_total - p
     m = k * p + 1
     design = np.empty((*batch, m + k if with_targets else m, n)).swapaxes(-1, -2)
     design[..., 0] = 1.0
     for lag in range(1, p + 1):
-        design[..., 1 + (lag - 1) * k : 1 + lag * k] = values[..., trim - lag : t_total - lag, :]
+        design[..., 1 + (lag - 1) * k : 1 + lag * k] = values[..., p - lag : t_total - lag, :]
     if with_targets:
-        design[..., m:] = values[..., trim:, :]
+        design[..., m:] = values[..., p:, :]
         return design
-    return design, values[..., trim:, :]
+    return design, values[..., p:, :]
 
 
 def build_lagged_design(frame: SeriesFrame, p: int):
@@ -184,16 +203,12 @@ def build_lagged_design(frame: SeriesFrame, p: int):
         raise DataError(
             f"not enough observations: T={values.shape[0]} leaves no rows at lag {p}"
         )
-    return _lagged_design(values, p, p)
+    return _lagged_design(values, p)
 
 
-def _map_singular_column(exc: SingularDesignError, names, p: int) -> SingularDesignError:
-    k = len(names)
+def _map_singular_column(exc: SingularDesignError, names) -> SingularDesignError:
     c = exc.column
-    if c == 0:
-        label = "const"
-    else:
-        label = f"L{(c - 1) // k + 1}.{names[(c - 1) % k]}"
+    label = lag_labels(names, c // len(names) + 1)[c]  # enough lags to reach column c
     return SingularDesignError(
         f"design is rank deficient at column {label!r} "
         f"(e.g. a constant or duplicated variable); drop or fix that variable",
@@ -220,7 +235,7 @@ def fit_var(frame: SeriesFrame, p: int) -> VarFit:
     try:
         coef_stacked, resid, nmi = solve_least_squares(design, targets)
     except SingularDesignError as exc:
-        raise _map_singular_column(exc, frame.names, p) from None
+        raise _map_singular_column(exc, frame.names) from None
 
     sigma_ml = resid.T @ resid / t_eff
     sigma = resid.T @ resid / dof
@@ -229,15 +244,10 @@ def fit_var(frame: SeriesFrame, p: int) -> VarFit:
         t_stacked = np.where(se_stacked > 0, coef_stacked / se_stacked, 0.0)
     p_stacked = 2.0 * np.vectorize(norm_cdf, otypes=[float])(-np.abs(t_stacked))
 
-    def split(stacked):
-        head = stacked[0]
-        tail = stacked[1:].reshape(p, k, k).transpose(0, 2, 1) if p else np.zeros((0, k, k))
-        return head, tail
-
-    intercept, coef = split(coef_stacked)
-    intercept_se, coef_se = split(se_stacked)
-    intercept_t, coef_t = split(t_stacked)
-    intercept_p, coef_p = split(p_stacked)
+    intercept, coef = unstack_params(coef_stacked, p)
+    intercept_se, coef_se = unstack_params(se_stacked, p)
+    intercept_t, coef_t = unstack_params(t_stacked, p)
+    intercept_p, coef_p = unstack_params(p_stacked, p)
 
     return VarFit(
         var_names=frame.names,
@@ -290,7 +300,7 @@ def information_criteria(frame: SeriesFrame, p: int) -> InformationCriteria:
     try:
         _, resid, _ = solve_least_squares(design, targets)
     except SingularDesignError as exc:
-        raise _map_singular_column(exc, frame.names, p) from None
+        raise _map_singular_column(exc, frame.names) from None
     return _criteria(resid.T @ resid / t_star, t_star, frame.n_vars, p)
 
 
@@ -318,14 +328,14 @@ def select_order(frame: SeriesFrame, max_lags: int, override: int | None = None)
     # One QR of [X | Y] at max_lags: the lag-p design is the first 1 + K*p
     # columns of X, so its residual cross-product is R[1+K*p:, m:]' R[1+K*p:, m:].
     m = 1 + k * max_lags
-    r = augmented_r(_lagged_design(values, max_lags, max_lags, with_targets=True), m)
+    r = augmented_r(_lagged_design(values, max_lags, with_targets=True), m)
     table = np.empty((max_lags + 1, len(CRITERIA)))
     for p in range(max_lags + 1):
         width = 1 + k * p
         try:
             check_rank(r, width)
         except SingularDesignError as exc:
-            raise _map_singular_column(exc, frame.names, p) from None
+            raise _map_singular_column(exc, frame.names) from None
         tail = r[width:, m:]
         table[p] = _criteria(tail.T @ tail / t_star, t_star, k, p)
 

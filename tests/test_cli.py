@@ -144,6 +144,21 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert "non-finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field, cell, argv", [
+        ("sigma_u", (0, 1), ("irf", "--replications", "100")),
+        ("normal_matrix_inverse", (1, 6), ("granger", "--causing", "score")),
+    ])
+    def test_asymmetric_model_is_data_error(self, tmp_path, capsys, field, cell, argv):
+        merged, model = tmp_path / "m.csv", tmp_path / "model.json"
+        run(capsys, "ingest", "--oura", SLEEP, "--emood", MOOD, "-o", str(merged))
+        run(capsys, "fit", str(merged), "--lags", "2", "-o", str(model))
+        doc = json.loads(model.read_text())
+        doc[field][cell[0]][cell[1]] += 1.0  # a cell the command reads, its mirror untouched
+        model.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv[0], str(model), *argv[1:])
+        assert code == 2 and out == ""
+        assert f"{field} is not symmetric" in err and "Traceback" not in err
+
 
 class TestIngest:
     def test_merged_csv_shape(self, tmp_path, capsys):
@@ -304,6 +319,93 @@ class TestSimulateCommand:
         run(capsys, "simulate", "--spec", str(spec_path), "--t", "200",
             "--seed", "3", "-o", str(out2))
         assert out.read_bytes() == out2.read_bytes()
+
+
+def fresh_cli(*argv) -> tuple[int, str, str]:
+    """Run the CLI in a fresh interpreter: exit code, stdout, stderr."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "sleepvar.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_reused_across_calls(capsys):
+    # the parser is built once per process; a usage error, --version and a
+    # repeated command must read as they do in a fresh interpreter
+    calls = [("describe", SLEEP, "--wat"), ("--version",),
+             ("ingest", "--oura", SLEEP), ("ingest", "--oura", SLEEP)]
+    in_process = [run(capsys, *argv) for argv in calls]
+    assert in_process[2] == in_process[3] and in_process[2][0] == 0
+    assert [c for c, _, _ in in_process] == [1, 0, 0, 0]
+    assert in_process == [fresh_cli(*argv) for argv in calls]
+
+
+@pytest.fixture(scope="module")
+def analysis_inputs(tmp_path_factory, dataset_frame):
+    """A merged frame, its VAR(2) model and a process spec, as files."""
+    root = tmp_path_factory.mktemp("contract")
+    merged, model, spec = root / "merged.csv", root / "model.json", root / "spec.json"
+    sv.write_frame_csv(dataset_frame, merged)
+    sv.save_model(sv.fit_var(dataset_frame, 2), model)
+    spec.write_text(json.dumps({"var_names": ["x", "y"], "p": 1, "intercept": [0.0, 0.0],
+                                "coef": [[[0.5, 0.1], [0.0, 0.4]]],
+                                "sigma_u": [[1.0, 0.0], [0.0, 1.0]]}))
+    return {"merged": str(merged), "model": str(model), "spec": str(spec)}
+
+
+DOCUMENT_COMMANDS = [
+    ("describe", "{merged}"),
+    ("adf", "{merged}", "--column", "score"),
+    ("decompose", "{merged}", "--column", "score"),
+    ("pacf", "{merged}", "--column", "score", "--nlags", "10"),
+    ("select-order", "{merged}", "--maxlags", "4"),
+    ("granger", "{model}", "--causing", "score"),
+    ("irf", "{model}", "--replications", "100", "--horizon", "3"),
+]
+
+
+class TestOutputContract:
+    """One document per subcommand: the same bytes on stdout and in ``-o FILE``."""
+
+    @pytest.mark.parametrize("argv", [
+        *DOCUMENT_COMMANDS,
+        *[(*argv, "--json") for argv in DOCUMENT_COMMANDS],
+        ("ingest", "--oura", SLEEP, "--emood", MOOD),
+        ("simulate", "--spec", "{spec}", "--t", "30", "--seed", "1"),
+    ], ids=lambda argv: "-".join(a for a in argv if not a.startswith(("{", "/"))))
+    def test_file_bytes_equal_stdout_bytes(self, argv, analysis_inputs, tmp_path, capsys):
+        argv = [a.format(**analysis_inputs) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        target = tmp_path / "doc"
+        assert run(capsys, *argv, "-o", str(target)) == (0, "", err)
+        assert run(capsys, *argv, "-o", "-")[1] == out
+        assert target.read_bytes() == out.encode("utf-8")
+        assert out.endswith("\n") and not out.endswith("\n\n")
+
+    # With dataclasses.asdict as the JSON view, field order is the schema.
+    def test_describe_json_key_order(self, analysis_inputs, capsys):
+        doc = json.loads(run(capsys, "describe", analysis_inputs["merged"], "--json")[1])
+        assert list(doc) == ["score", "depressed", "anxious", "irritable", "elevated"]
+        for stats in doc.values():
+            assert list(stats) == ["total", "missing", "mean", "sd", "max", "min"]
+
+    def test_adf_json_key_order(self, analysis_inputs, capsys):
+        doc = json.loads(run(capsys, "adf", analysis_inputs["merged"],
+                             "--column", "score", "--json")[1])
+        assert list(doc) == ["statistic", "p_value", "used_lag", "n_obs",
+                             "critical_values", "regression"]
+        assert list(doc["critical_values"]) == ["1%", "5%", "10%"]
+
+    def test_granger_json_key_order(self, analysis_inputs, capsys):
+        doc = json.loads(run(capsys, "granger", analysis_inputs["model"],
+                             "--causing", "score", "--json")[1])
+        assert len(doc) == 4
+        for entry in doc:
+            assert list(entry) == ["causing", "caused", "statistic", "critical_value",
+                                   "p_value", "df_num", "df_den", "alpha", "reject_null"]
+            assert entry["causing"] == ["score"]
 
 
 class TestIdempotence:

@@ -14,7 +14,7 @@ from sleepvar.errors import (
     NumericError,
     SingularDesignError,
 )
-from sleepvar.var import _criteria
+from sleepvar.var import _criteria, _map_singular_column
 
 from conftest import VAR2_SPEC, make_frame
 from test_linalg import gauss_solve
@@ -265,6 +265,11 @@ class TestSelectOrder:
         with pytest.raises(SingularDesignError) as fit_err:
             sv.fit_var(frame, 1)
         assert err.value.column == fit_err.value.column == "L1.elevated"
+
+    def test_singular_column_named_by_design_label(self, dataset_fit):
+        for c, label in enumerate(dataset_fit.lag_labels()):
+            exc = SingularDesignError("rank deficient", column=c)
+            assert _map_singular_column(exc, dataset_fit.var_names).column == label
 
     def test_common_sample_matches_statsmodels(self):
         VAR = pytest.importorskip("statsmodels.tsa.api").VAR
