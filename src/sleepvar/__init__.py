@@ -22,8 +22,6 @@ from .frame import (
     MOOD_VARIABLES,
     SeriesFrame,
     SummaryStats,
-    VariableKind,
-    VariableSpec,
     describe,
     impute,
     ingest_mood,
@@ -69,7 +67,7 @@ __all__ = [
     "__version__",
     "SleepVarError", "DataError", "NumericError", "SingularDesignError",
     "NotPositiveDefiniteError", "ConvergenceError", "ModelFormatError",
-    "SeriesFrame", "SummaryStats", "VariableKind", "VariableSpec", "MOOD_VARIABLES",
+    "SeriesFrame", "SummaryStats", "MOOD_VARIABLES",
     "ingest_sleep", "ingest_mood", "merge", "impute", "describe",
     "read_frame_csv", "write_frame_csv",
     "AdfResult", "DifferencingDecision", "Decomposition", "PacfResult",

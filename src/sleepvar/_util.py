@@ -1,16 +1,24 @@
-"""Small shared helpers: immutable arrays, whole-document text I/O, the normal CDF."""
+"""Small shared helpers: immutable arrays, whole-document text I/O, the JSON
+document reader and its field rules, the normal CDF."""
 
 from __future__ import annotations
 
 import contextlib
+import json
 import math
+import numbers
 import os
 import stat
-from typing import IO, Union
+from typing import IO, Callable, Sequence, TypeVar, Union
 
 import numpy as np
 
+from .errors import DataError, ModelFormatError
+
 TextSource = Union[str, os.PathLike, IO[str]]
+T = TypeVar("T")
+
+SCHEMA_VERSION = 1
 
 
 def norm_cdf(x: float) -> float:
@@ -23,6 +31,65 @@ def freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def checked_names(names, what: str) -> tuple[str, ...]:
+    """``names`` as a tuple: a list or tuple of one or more distinct, non-empty strings."""
+    if not (isinstance(names, (list, tuple)) and names
+            and all(isinstance(n, str) and n for n in names) and len(set(names)) == len(names)):
+        raise DataError(f"{what} must be one or more distinct, non-empty strings, got {names!r}")
+    return tuple(names)
+
+
+def checked_count(value, what: str) -> int:
+    """``value`` as an int: a non-negative integer (not a bool, float or string)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise DataError(f"{what} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def frozen_array(value, what: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only float64 copy of ``value``, which must have ``shape`` and be finite.
+
+    An empty value takes an empty ``shape``, as the lag stack of a VAR(0)
+    arrives flat (``[]``) from JSON.
+    """
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"{what} must be an array of numbers") from None
+    if arr.size == 0 and 0 in shape:
+        arr = arr.reshape(shape)
+    if arr.shape != shape:
+        raise DataError(f"{what} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DataError(f"{what} contains non-finite entries")
+    return freeze(arr)
+
+
+def load_document(
+    source: TextSource, what: str, required: Sequence[str], build: Callable[[dict], T]
+) -> T:
+    """Decode the JSON document at ``source`` and return ``build(doc)``.
+
+    The top level must be an object whose ``version`` (1 when absent) is
+    :data:`SCHEMA_VERSION` and which holds every ``required`` field.  Each
+    fault found here, or raised by ``build`` as TypeError, ValueError or
+    DataError, becomes ``ModelFormatError("corrupted <what> document: ...")``.
+    """
+    try:
+        doc = json.loads(read_text(source))
+        if not isinstance(doc, dict):
+            raise DataError("top level must be an object")
+        version = checked_count(doc.get("version", SCHEMA_VERSION), "version")
+        if version != SCHEMA_VERSION:
+            raise DataError(f"unsupported schema version {version} (expected {SCHEMA_VERSION})")
+        for name in required:
+            if name not in doc:
+                raise DataError(f"missing field {name!r}")
+        return build(doc)
+    except (TypeError, ValueError, DataError) as exc:
+        raise ModelFormatError(f"corrupted {what} document: {exc}")
 
 
 def read_text(source: TextSource) -> str:

@@ -20,37 +20,20 @@ import functools
 import io
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NoReturn, Sequence
 
 import numpy as np
 
-from ._util import TextSource, freeze, read_text, write_text
+from ._util import TextSource, checked_names, freeze, read_text, write_text
 from .errors import DataError
 
+SLEEP_SCORE_RANGE = (1.0, 100.0)
 MOOD_VARIABLES = ("depressed", "anxious", "irritable", "elevated")
 MOOD_LEVELS = (0, 1, 2, 3)
 
 IMPUTE_POLICIES = ("forward_fill", "linear", "none")
 DEFAULT_IMPUTE_POLICY = "forward_fill"
 DEFAULT_MAX_GAP = 3
-
-
-class VariableKind(Enum):
-    SLEEP_SCORE = "sleep_score"
-    MOOD = "mood"
-
-
-@dataclass(frozen=True)
-class VariableSpec:
-    """Name, kind, and inclusive valid range of one tracked variable."""
-
-    name: str
-    kind: VariableKind
-    valid_range: tuple[float, float]
-
-
-SLEEP_SCORE_SPEC = VariableSpec("score", VariableKind.SLEEP_SCORE, (1.0, 100.0))
 
 
 @dataclass(frozen=True)
@@ -79,7 +62,7 @@ class SeriesFrame:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "names", checked_names(self.names, "variable names"))
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 2:
             raise DataError(f"frame values must be 2-D, got shape {vals.shape}")
@@ -89,10 +72,6 @@ class SeriesFrame:
             raise DataError(
                 f"frame has {len(self.names)} names but {vals.shape[1]} columns"
             )
-        if not all(isinstance(n, str) and n for n in self.names):
-            raise DataError("variable names must be non-empty strings")
-        if len(set(self.names)) != len(self.names):
-            raise DataError(f"variable names must be unique, got {self.names}")
         if np.isinf(vals).any():
             raise DataError("frame values must be finite or missing (NaN)")
         object.__setattr__(self, "values", freeze(vals))
@@ -203,7 +182,7 @@ def ingest_sleep(source: TextSource) -> SeriesFrame:
     """
     records = _records(source)
     _check_header(records, ("date", "score"))
-    lo, hi = SLEEP_SCORE_SPEC.valid_range
+    lo, hi = SLEEP_SCORE_RANGE
     try:
         days, cells = _columns(records, 2)
         ordinals = _ordinals(days)
@@ -216,11 +195,11 @@ def ingest_sleep(source: TextSource) -> SeriesFrame:
     start = int(ordinals.min())
     col = np.full(int(ordinals.max()) - start + 1, np.nan)
     col[ordinals - start] = scores
-    return SeriesFrame(dt.date.fromordinal(start), (SLEEP_SCORE_SPEC.name,), col.reshape(-1, 1))
+    return SeriesFrame(dt.date.fromordinal(start), ("score",), col.reshape(-1, 1))
 
 
 def _locate_sleep_error(records: list[list[str]]) -> NoReturn:
-    lo, hi = SLEEP_SCORE_SPEC.valid_range
+    lo, hi = SLEEP_SCORE_RANGE
     seen: set[dt.date] = set()
     for line_no, row in _numbered_rows(records, 2):
         day = _parse_date(row[0], line_no)

@@ -285,7 +285,6 @@ def granger_test(
         raise DataError("Granger test requires a fitted lag order of at least 1")
 
     k = fit.n_vars
-    m = fit.n_params
     name_idx = {n: i for i, n in enumerate(fit.var_names)}
     # Restriction r selects stacked coefficient (equation eq, design column c).
     eq_idx, col_idx = [], []

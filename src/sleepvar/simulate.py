@@ -15,13 +15,12 @@ on the batch it runs in, so the bootstrap can run in blocks of any size.
 from __future__ import annotations
 
 import datetime as dt
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import TextSource, freeze, read_text
-from .errors import DataError, ModelFormatError, NotPositiveDefiniteError
+from ._util import TextSource, checked_count, checked_names, frozen_array, load_document
+from .errors import DataError, NotPositiveDefiniteError
 from .frame import SeriesFrame
 from .linalg import cholesky_lower, companion_matrix, spectral_radius
 
@@ -53,37 +52,23 @@ class VarProcessSpec:
     burn_in: int = DEFAULT_BURN_IN
 
     def __post_init__(self):
-        object.__setattr__(self, "var_names", tuple(self.var_names))
-        k = len(self.var_names)
-        if k == 0 or len(set(self.var_names)) != k:
-            raise DataError("var_names must be non-empty and unique")
-        nu = np.asarray(self.intercept, dtype=float)
-        try:
-            coef = np.asarray(self.coef, dtype=float).reshape(self.p, k, k)
-        except (TypeError, ValueError):
-            raise DataError(
-                f"coef must reshape to ({self.p}, {k}, {k}), got "
-                f"{np.asarray(self.coef, dtype=object).shape}"
-            )
-        cov = np.asarray(self.innovation_cov, dtype=float)
-        if nu.shape != (k,):
-            raise DataError(f"intercept must have shape ({k},), got {nu.shape}")
-        if cov.shape != (k, k):
-            raise DataError(f"innovation_cov must have shape ({k}, {k}), got {cov.shape}")
-        if self.p < 0 or self.burn_in < 0:
-            raise DataError("p and burn_in must be non-negative")
-        if not (np.isfinite(nu).all() and np.isfinite(coef).all() and np.isfinite(cov).all()):
-            raise DataError("process parameters must be finite")
-        radius = spectral_radius(companion_matrix(coef)) if self.p else 0.0
+        names = checked_names(self.var_names, "var_names")
+        p, k = checked_count(self.p, "p"), len(names)
+        fields = {
+            "var_names": names, "p": p, "burn_in": checked_count(self.burn_in, "burn_in"),
+            "intercept": frozen_array(self.intercept, "intercept", (k,)),
+            "coef": frozen_array(self.coef, "coef", (p, k, k)),
+            "innovation_cov": frozen_array(self.innovation_cov, "innovation_cov", (k, k)),
+        }
+        radius = spectral_radius(companion_matrix(fields["coef"])) if p else 0.0
         if radius >= 1.0:
             raise DataError(f"unstable process: companion spectral radius {radius:.6f} >= 1")
         try:
-            cholesky_lower(cov)
+            cholesky_lower(fields["innovation_cov"])
         except (NotPositiveDefiniteError, ValueError) as exc:
             raise DataError(f"innovation covariance is not symmetric positive definite: {exc}")
-        object.__setattr__(self, "intercept", freeze(nu))
-        object.__setattr__(self, "coef", freeze(coef))
-        object.__setattr__(self, "innovation_cov", freeze(cov))
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_vars(self) -> int:
@@ -171,33 +156,16 @@ def load_process_spec(source: TextSource) -> VarProcessSpec:
     """Read a process document: the model JSON schema minus inference fields.
 
     Required: var_names, p, intercept, coef, and the innovation covariance
-    under either ``sigma_u`` or ``innovation_cov``.  Optional: burn_in.
+    under either ``sigma_u`` or ``innovation_cov``.  Optional: version, burn_in.
     """
-    try:
-        doc = json.loads(read_text(source))
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"corrupted process document: {exc}")
-    if not isinstance(doc, dict):
-        raise ModelFormatError("corrupted process document: top level must be an object")
-    version = doc.get("version", 1)
-    if version != 1:
-        raise ModelFormatError(f"unsupported schema version {version!r} (expected 1)")
-    cov = doc.get("sigma_u", doc.get("innovation_cov"))
-    missing = [k for k, v in
-               [("var_names", doc.get("var_names")), ("p", doc.get("p")),
-                ("intercept", doc.get("intercept")), ("coef", doc.get("coef")),
-                ("sigma_u", cov)]
-               if v is None]
-    if missing:
-        raise ModelFormatError(f"corrupted process document: missing field(s) {missing}")
-    try:
+
+    def build(doc: dict) -> VarProcessSpec:
+        cov = doc.get("sigma_u", doc.get("innovation_cov"))
+        if cov is None:
+            raise DataError("missing field 'sigma_u'")
         return VarProcessSpec(
-            var_names=tuple(doc["var_names"]),
-            p=int(doc["p"]),
-            intercept=np.asarray(doc["intercept"], dtype=float),
-            coef=np.asarray(doc["coef"], dtype=float),
-            innovation_cov=np.asarray(cov, dtype=float),
-            burn_in=int(doc.get("burn_in", DEFAULT_BURN_IN)),
+            var_names=doc["var_names"], p=doc["p"], intercept=doc["intercept"], coef=doc["coef"],
+            innovation_cov=cov, burn_in=doc.get("burn_in", DEFAULT_BURN_IN),
         )
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"corrupted process document: {exc}")
+
+    return load_document(source, "process", ("var_names", "p", "intercept", "coef"), build)

@@ -19,8 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import TextSource, freeze, norm_cdf, read_text, write_text
-from .errors import DataError, ModelFormatError, NotPositiveDefiniteError, NumericError, SingularDesignError
+from ._util import (
+    SCHEMA_VERSION, TextSource, checked_count, checked_names, freeze, frozen_array, load_document,
+    norm_cdf, write_text,
+)
+from .errors import DataError, NotPositiveDefiniteError, NumericError, SingularDesignError
 from .frame import SeriesFrame
 from .linalg import (
     augmented_r,
@@ -32,7 +35,6 @@ from .linalg import (
     spectral_radius,
 )
 
-MODEL_SCHEMA_VERSION = 1
 CRITERIA = ("aic", "bic", "fpe", "hqic")
 
 
@@ -87,27 +89,23 @@ class VarFit:
     normal_matrix_inverse: np.ndarray  # (K*p+1, K*p+1)
 
     def __post_init__(self):
-        object.__setattr__(self, "var_names", tuple(self.var_names))
-        k = len(self.var_names)
+        names = checked_names(self.var_names, "var_names")
+        p, t_eff = checked_count(self.p, "p"), checked_count(self.t_eff, "t_eff")
+        k = len(names)
+        fields = {"var_names": names, "p": p, "t_eff": t_eff}
         shapes = {
             "intercept": (k,), "intercept_se": (k,), "intercept_t": (k,), "intercept_p": (k,),
-            "coef": (self.p, k, k), "coef_se": (self.p, k, k),
-            "coef_t": (self.p, k, k), "coef_p": (self.p, k, k),
+            "coef": (p, k, k), "coef_se": (p, k, k), "coef_t": (p, k, k), "coef_p": (p, k, k),
             "sigma_u": (k, k), "sigma_u_ml": (k, k),
-            "residuals": (self.t_eff, k),
-            "normal_matrix_inverse": (k * self.p + 1, k * self.p + 1),
+            "residuals": (t_eff, k),
+            "normal_matrix_inverse": (k * p + 1, k * p + 1),
         }
         for name, want in shapes.items():
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.size == 0 and 0 in want:
-                arr = arr.reshape(want)  # empty lag stacks (p == 0) arrive flat
-            if arr.shape != want:
-                raise DataError(f"{name} must have shape {want}, got {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise DataError(f"{name} contains non-finite entries")
+            arr = fields[name] = frozen_array(getattr(self, name), name, want)
             if name in ("sigma_u", "sigma_u_ml", "normal_matrix_inverse") and not is_symmetric(arr):
                 raise DataError(f"{name} is not symmetric")
-            object.__setattr__(self, name, freeze(arr))
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_vars(self) -> int:
@@ -128,9 +126,6 @@ class VarFit:
 
     def stability_radius(self) -> float:
         return spectral_radius(companion_matrix(self.coef)) if self.p else 0.0
-
-    def is_stable(self) -> bool:
-        return self.stability_radius() < 1.0
 
 
 class InformationCriteria(NamedTuple):
@@ -364,7 +359,7 @@ _ARRAY_FIELDS = (
 def save_model(fit: VarFit, sink: TextSource) -> None:
     """Write the fit as a version-1 JSON document (lossless round-trip)."""
     doc: dict = {
-        "version": MODEL_SCHEMA_VERSION,
+        "version": SCHEMA_VERSION,
         "var_names": list(fit.var_names),
         "p": fit.p,
         "t_eff": fit.t_eff,
@@ -376,27 +371,6 @@ def save_model(fit: VarFit, sink: TextSource) -> None:
 
 def load_model(source: TextSource) -> VarFit:
     """Read a model document written by :func:`save_model`."""
-    try:
-        doc = json.loads(read_text(source))
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"corrupted model document: {exc}")
-    if not isinstance(doc, dict):
-        raise ModelFormatError("corrupted model document: top level must be an object")
-    version = doc.get("version")
-    if version != MODEL_SCHEMA_VERSION:
-        raise ModelFormatError(
-            f"unsupported model schema version {version!r} (expected {MODEL_SCHEMA_VERSION})"
-        )
-    for name in ("var_names", "p", "t_eff", *_ARRAY_FIELDS):
-        if name not in doc:
-            raise ModelFormatError(f"corrupted model document: missing field {name!r}")
-    try:
-        arrays = {name: np.asarray(doc[name], dtype=float) for name in _ARRAY_FIELDS}
-        return VarFit(
-            var_names=tuple(doc["var_names"]),
-            p=int(doc["p"]),
-            t_eff=int(doc["t_eff"]),
-            **arrays,
-        )
-    except (TypeError, ValueError, DataError) as exc:
-        raise ModelFormatError(f"corrupted model document: {exc}")
+    fields = ("var_names", "p", "t_eff", *_ARRAY_FIELDS)
+    return load_document(source, "model", ("version", *fields),
+                         lambda doc: VarFit(**{name: doc[name] for name in fields}))

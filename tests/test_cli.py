@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, outputs, determinism, JSON schemas."""
 
+import contextlib
 import io
 import json
 import os
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sleepvar as sv
 from sleepvar.cli import main
@@ -158,6 +161,18 @@ class TestExitCodes:
         code, out, err = run(capsys, argv[0], str(model), *argv[1:])
         assert code == 2 and out == ""
         assert f"{field} is not symmetric" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("names", [["score"] * 5, [1, 2, 3, 4, 5]])
+    def test_bad_var_names_model_is_data_error(self, tmp_path, capsys, names):
+        merged, model = tmp_path / "m.csv", tmp_path / "model.json"
+        run(capsys, "ingest", "--oura", SLEEP, "--emood", MOOD, "-o", str(merged))
+        run(capsys, "fit", str(merged), "--lags", "2", "-o", str(model))
+        doc = json.loads(model.read_text())
+        doc["var_names"] = names
+        model.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "granger", str(model), "--causing", "score")
+        assert code == 2 and out == ""
+        assert "corrupted model document: var_names" in err and "Traceback" not in err
 
 
 class TestIngest:
@@ -446,3 +461,63 @@ class TestIdempotence:
         ]
         assert outputs[0] == outputs[1]
         assert outputs[0] == (GOLDEN_DIR / "select_order_maxlags15.txt").read_bytes()
+
+
+# Any JSON value.  Integers stay within 10^4 of zero: a larger `burn_in` is
+# a valid count, and `simulate` runs that many steps.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**4, 10**4) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=8,
+)
+DELETE = object()
+MODEL_FIELDS = ("version", "var_names", "p", "t_eff", "intercept", "coef", "sigma_u",
+                "sigma_u_ml", "intercept_se", "intercept_t", "intercept_p", "coef_se",
+                "coef_t", "coef_p", "residuals", "normal_matrix_inverse")
+SPEC_FIELDS = ("version", "var_names", "p", "intercept", "coef", "sigma_u", "burn_in")
+
+
+def conforms(field: str, value) -> bool:
+    """Whether ``value`` has the form the document format gives ``field``."""
+    if field == "var_names":
+        return (isinstance(value, list) and bool(value)
+                and all(isinstance(n, str) and n for n in value) and len(set(value)) == len(value))
+    return type(value) is int and value >= 0
+
+
+class TestDocumentFuzz:
+    """One field of a model or process document deleted or replaced by any JSON
+    value: the command succeeds or exits 2 with a message, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def fields_json(self, analysis_inputs):
+        """Each document's fields as JSON texts, serialized once (the model is 160 KB)."""
+        return {kind: {k: json.dumps(v) for k, v in json.loads(Path(path).read_text()).items()}
+                for kind, path in analysis_inputs.items() if kind in ("model", "spec")}
+
+    def run_edited(self, tmp_dir: Path, fields: dict, field: str, value, argv) -> None:
+        fields = dict(fields)
+        if value is DELETE:
+            fields.pop(field, None)
+        else:
+            fields[field] = json.dumps(value)
+        edited = tmp_dir / "edited.json"
+        edited.write_text("{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in fields.items()) + "}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([a.format(doc=edited) for a in argv])
+        assert code in (0, 2) and "Traceback" not in err.getvalue(), err.getvalue()
+        if field in ("var_names", "p", "t_eff") and (value is DELETE or not conforms(field, value)):
+            assert code == 2 and "corrupted" in err.getvalue(), err.getvalue()
+
+    @given(field=st.sampled_from(MODEL_FIELDS), value=st.just(DELETE) | JSON_VALUES)
+    @settings(max_examples=100, deadline=None)
+    def test_granger_model(self, analysis_inputs, fields_json, field, value):
+        self.run_edited(Path(analysis_inputs["model"]).parent, fields_json["model"], field, value,
+                        ("granger", "{doc}", "--causing", "score"))
+
+    @given(field=st.sampled_from(SPEC_FIELDS), value=st.just(DELETE) | JSON_VALUES)
+    @settings(max_examples=100, deadline=None)
+    def test_simulate_spec(self, analysis_inputs, fields_json, field, value):
+        self.run_edited(Path(analysis_inputs["spec"]).parent, fields_json["spec"], field, value,
+                        ("simulate", "--spec", "{doc}", "--t", "5"))

@@ -195,6 +195,15 @@ class TestProcessSpecDocument:
         with pytest.raises(ModelFormatError, match="version"):
             sv.load_process_spec(io.StringIO(json.dumps(doc)))
 
+    @pytest.mark.parametrize("field, value", [
+        ("burn_in", 10.9), ("burn_in", -1), ("p", 2.0), ("var_names", ["x", "x"]),
+    ])
+    def test_bad_field_rejected(self, field, value):
+        doc = self.spec_doc()
+        doc[field] = value
+        with pytest.raises(ModelFormatError, match=f"corrupted process document: {field} must"):
+            sv.load_process_spec(io.StringIO(json.dumps(doc)))
+
     def test_corrupted_json(self):
         with pytest.raises(ModelFormatError, match="corrupted"):
             sv.load_process_spec(io.StringIO("{not json"))

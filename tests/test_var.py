@@ -329,6 +329,21 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="corrupted"):
             sv.load_model(io.StringIO(json.dumps(doc)))
 
+    @pytest.mark.parametrize("field, value", [
+        ("var_names", ["score"] * 5),
+        ("var_names", [1, 2, 3, 4, 5]),
+        ("p", 2.7), ("p", True), ("p", "2"),
+        ("t_eff", 1453.0),
+        ("intercept", [10**400] * 5),  # too large for a float
+    ])
+    def test_bad_field_rejected(self, dataset_fit, field, value):
+        buf = io.StringIO()
+        sv.save_model(dataset_fit, buf)
+        doc = json.loads(buf.getvalue())
+        doc[field] = value
+        with pytest.raises(ModelFormatError, match=f"corrupted model document: {field} must"):
+            sv.load_model(io.StringIO(json.dumps(doc)))
+
     def test_p0_round_trip(self):
         fit = sv.fit_var(sv.simulate_var(VAR2_SPEC, 90, seed=1), 0)
         buf = io.StringIO()
