@@ -42,12 +42,10 @@ from .stationarity import (
     recommend_differencing,
 )
 from .var import (
-    InformationCriteria,
     OrderSelection,
     VarFit,
     build_lagged_design,
     fit_var,
-    information_criteria,
     load_model,
     save_model,
     select_order,
@@ -72,8 +70,8 @@ __all__ = [
     "read_frame_csv", "write_frame_csv",
     "AdfResult", "DifferencingDecision", "Decomposition", "PacfResult",
     "adf_test", "recommend_differencing", "difference", "classical_decompose", "pacf",
-    "VarFit", "OrderSelection", "InformationCriteria",
-    "build_lagged_design", "fit_var", "information_criteria", "select_order",
+    "VarFit", "OrderSelection",
+    "build_lagged_design", "fit_var", "select_order",
     "save_model", "load_model",
     "GrangerResult", "granger_test", "granger_all_pairs",
     "IrfResult", "ma_coefficients", "orthogonalized_irf", "irf_with_bands",

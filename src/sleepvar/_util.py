@@ -52,10 +52,16 @@ def frozen_array(value, what: str, shape: tuple[int, ...]) -> np.ndarray:
     """A read-only float64 copy of ``value``, which must have ``shape`` and be finite.
 
     An empty value takes an empty ``shape``, as the lag stack of a VAR(0)
-    arrives flat (``[]``) from JSON.
+    arrives flat (``[]``) from JSON.  Every entry must be a real number: numpy
+    would read a bool or a numeric string as one, so those are rejected.
     """
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+        if arr.dtype.kind not in "fiu" and not all(
+            issubclass(t, numbers.Real) and t is not bool for t in set(map(type, arr.flat))
+        ):
+            raise TypeError
+        arr = np.asarray(arr, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise DataError(f"{what} must be an array of numbers") from None
     if arr.size == 0 and 0 in shape:

@@ -18,9 +18,10 @@ import csv
 import datetime as dt
 import functools
 import io
+import itertools
 import math
 from dataclasses import dataclass
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -105,71 +106,139 @@ class SeriesFrame:
 
 
 # --- Text parsing ------------------------------------------------------------
-# Each parser reads the whole text, splits it once and converts whole columns.
-# Exports and frames repeat a few cells (levels, scores, imputed values) many
-# times, so cells convert, or format, through a per-call ``functools.cache``.
-# When a check on those columns fails, a per-row locator walks the rows in
-# file order and raises the first faulty row's error, the one a row-by-row
-# parser would raise.  Line numbers count CSV records as csv.reader yields
-# them: the header is line 1, and blank rows count.
+# A parser reads its text once through _Rows: one csv.reader split, the
+# header check, and the data rows as columns.  Each distinct cell of a value
+# column converts once (exports and frames repeat a few cells many times),
+# to its value or to None where a row check rejects it.  The parser then
+# builds one boolean mask over the rows per check, in the order a row is
+# checked: the date, then the duplicate date (sleep) or the contiguous grid
+# (frame), then the value cells from left to right.  _raise_first raises the
+# first faulty row's first failing check, the error a row-by-row parser
+# would raise; only then is the one faulty cell re-read to word it, and its
+# line counted.  Line numbers count CSV records as csv.reader yields them:
+# the header is line 1, and blank rows count.
 
 
-def _integer(text: str) -> float:
-    """An integer cell as a float, or NaN when blank."""
-    return float(int(text)) if text.strip() else math.nan
+class _Rows:
+    """The data rows of a CSV text: the records after the header with a
+    non-blank cell, cut at the first row of another width, whose error
+    ``cut`` is raised only when no kept row is faulty.  ``ordinals`` holds
+    each row's day ordinal, 0 where the date is malformed."""
+
+    def __init__(self, source: TextSource, expected: Sequence[str] | None):
+        """``expected`` is the exact header, or None for a frame CSV's."""
+        self.records = list(csv.reader(io.StringIO(read_text(source), newline="")))
+        self.header = self.records[0] if self.records else None
+        if expected is None:
+            if not self.header or self.header[0].strip() != "date" or len(self.header) < 2:
+                raise DataError("frame CSV must start with header 'date,<name1>,...'")
+        elif self.header is None:
+            raise DataError("empty file: missing header row")
+        elif (header := [h.strip() for h in self.header]) != list(expected):
+            raise DataError(f"unexpected header {header!r}; expected {list(expected)!r}")
+        rows = [row for row in self.records[1:] if any(map(str.strip, row))]
+        if not rows:
+            raise DataError("empty file: no data rows")
+        width, self.cut = len(self.header), None
+        if set(map(len, rows)) != {width}:
+            n = next(i for i, row in enumerate(rows) if len(row) != width)
+            self.cut = DataError(f"line {self.line(n)}: expected {width} fields, got {len(rows[n])}")
+            if n == 0:
+                raise self.cut
+            rows = rows[:n]
+        self.days, *self.columns = zip(*rows)
+        try:
+            self.ordinals = np.array(list(map(
+                dt.date.toordinal, map(dt.date.fromisoformat, map(str.strip, self.days)))))
+        except ValueError:
+            self.ordinals = np.array(list(map(_ordinal, self.days)))
+
+    def line(self, i: int) -> int:
+        """The line number of data row ``i``."""
+        data = (n for n, row in enumerate(self.records[1:], 2) if any(map(str.strip, row)))
+        return next(itertools.islice(data, i, None))
+
+    def day(self, i: int) -> str:
+        return dt.date.fromordinal(int(self.ordinals[i])).isoformat()
+
+    def date_check(self):
+        return self.ordinals == 0, lambda i: (
+            f"malformed date {self.days[i].strip()!r} (expected YYYY-MM-DD)")
+
+    def values(self, convert, error):
+        """The value columns through ``convert`` as a (rows, columns) array,
+        and one check per column, left to right; ``error(j, cell)`` words a
+        cell of column ``j`` that ``convert`` maps to None."""
+        columns, checks = [], []
+        for j, column in enumerate(self.columns):
+            table = {cell: convert(cell) for cell in set(column)}
+            columns.append(list(map(table.__getitem__, column)))
+            faulty = {cell for cell, value in table.items() if value is None}
+            mask = np.array([cell in faulty for cell in column]) if faulty else np.zeros(len(column), bool)
+            checks.append((mask, lambda i, j=j: error(j, self.columns[j][i].strip())))
+        return np.array(columns, dtype=float).T.copy(), checks  # None reads as NaN
 
 
-def _number(text: str) -> float:
-    """A frame cell: a float, or NaN when blank."""
-    return float(text) if text.strip() else math.nan
-
-
-def _records(source: TextSource) -> list[list[str]]:
-    """Every CSV record of the source."""
-    return list(csv.reader(io.StringIO(read_text(source), newline="")))
-
-
-def _columns(records: list[list[str]], width: int) -> list[tuple[str, ...]]:
-    """The columns of the data rows: the records after the header that have a
-    non-blank cell.  ValueError if a data row is not ``width`` cells wide."""
-    rows = [row for row in records[1:] if any(map(str.strip, row))]
-    if not rows:
-        raise DataError("empty file: no data rows")
-    if set(map(len, rows)) != {width}:
-        raise ValueError("a data row has another width")
-    return list(zip(*rows))
-
-
-def _numbered_rows(records: list[list[str]], width: int):
-    """Yield (line_no, row) for every data row; a row of another width raises."""
-    for line_no, row in enumerate(records[1:], start=2):
-        if not any(map(str.strip, row)):
-            continue
-        if len(row) != width:
-            raise DataError(f"line {line_no}: expected {width} fields, got {len(row)}")
-        yield line_no, row
-
-
-def _ordinals(cells: Sequence[str]) -> np.ndarray:
-    """Day ordinals of ISO date cells; ValueError if any is malformed."""
-    return np.array(list(map(dt.date.toordinal, map(dt.date.fromisoformat, map(str.strip, cells)))))
-
-
-def _parse_date(cell: str, line_no: int) -> dt.date:
+def _ordinal(cell: str) -> int:
     try:
-        return dt.date.fromisoformat(cell.strip())
+        return dt.date.fromisoformat(cell.strip()).toordinal()
     except ValueError:
-        raise DataError(f"line {line_no}: malformed date {cell.strip()!r} (expected YYYY-MM-DD)")
+        return 0
 
 
-def _check_header(records: list[list[str]], expected_header: Sequence[str]) -> None:
-    if not records:
-        raise DataError("empty file: missing header row")
-    header = [h.strip() for h in records[0]]
-    if header != list(expected_header):
-        raise DataError(
-            f"unexpected header {header!r}; expected {list(expected_header)!r}"
-        )
+def _raise_first(rows: _Rows, checks) -> None:
+    """Raise the error of the first faulty row, worded by its first failing
+    check, or else the cut row's error.  ``checks`` pairs a boolean mask over
+    the rows with a function that words the error of row ``i``."""
+    firsts = [(int(mask.argmax()), c) for c, (mask, _) in enumerate(checks) if mask.any()]
+    if firsts:
+        i, c = min(firsts)
+        raise DataError(f"line {rows.line(i)}: {checks[c][1](i)}")
+    if rows.cut is not None:
+        raise rows.cut
+
+
+def _integer(text: str) -> int | None:
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def _score(text: str) -> float | None:
+    """A sleep score: NaN when blank, None unless an integer in range."""
+    if not text.strip():
+        return math.nan
+    lo, hi = SLEEP_SCORE_RANGE
+    score = _integer(text)
+    return float(score) if score is not None and lo <= score <= hi else None
+
+
+def _score_error(_: int, cell: str) -> str:
+    if (score := _integer(cell)) is None:
+        return f"sleep score must be an integer or empty, got {cell!r}"
+    lo, hi = SLEEP_SCORE_RANGE
+    return f"sleep score {score} outside [{lo:.0f}, {hi:.0f}]"
+
+
+def _level(text: str) -> float | None:
+    """A mood level: None unless an integer 0-3."""
+    level = _integer(text)
+    return float(level) if level in MOOD_LEVELS else None
+
+
+def _level_error(j: int, cell: str) -> str:
+    if (level := _integer(cell)) is None:
+        return f"{MOOD_VARIABLES[j]} must be an integer 0-3, got {cell!r}"
+    return f"{MOOD_VARIABLES[j]} value {level} outside 0-3"
+
+
+def _number(text: str) -> float | None:
+    """A frame cell: NaN when blank, None when malformed."""
+    try:
+        return float(text) if text.strip() else math.nan
+    except ValueError:
+        return None
 
 
 def ingest_sleep(source: TextSource) -> SeriesFrame:
@@ -180,46 +249,20 @@ def ingest_sleep(source: TextSource) -> SeriesFrame:
     be integers inside the valid range; duplicate dates are an error (one
     sleep bout per night).
     """
-    records = _records(source)
-    _check_header(records, ("date", "score"))
-    lo, hi = SLEEP_SCORE_RANGE
-    try:
-        days, cells = _columns(records, 2)
-        ordinals = _ordinals(days)
-        scores = np.array(list(map(functools.cache(_integer), cells)))
-    except (ValueError, OverflowError):
-        _locate_sleep_error(records)
-    if ((scores < lo) | (scores > hi)).any() or (np.diff(np.sort(ordinals)) == 0).any():
-        _locate_sleep_error(records)
+    rows = _Rows(source, ("date", "score"))
+    ordinals = rows.ordinals
+    scores, score_checks = rows.values(_score, _score_error)
+    # A stable sort keeps a date's rows in file order: all but the first repeat it.
+    order = np.argsort(ordinals, kind="stable")
+    repeated = np.zeros(ordinals.size, dtype=bool)
+    repeated[order[1:]] = np.diff(ordinals[order]) == 0
+    _raise_first(rows, [rows.date_check(),
+                        (repeated, lambda i: f"duplicate date {rows.day(i)}"), *score_checks])
 
     start = int(ordinals.min())
     col = np.full(int(ordinals.max()) - start + 1, np.nan)
-    col[ordinals - start] = scores
+    col[ordinals - start] = scores[:, 0]
     return SeriesFrame(dt.date.fromordinal(start), ("score",), col.reshape(-1, 1))
-
-
-def _locate_sleep_error(records: list[list[str]]) -> NoReturn:
-    lo, hi = SLEEP_SCORE_RANGE
-    seen: set[dt.date] = set()
-    for line_no, row in _numbered_rows(records, 2):
-        day = _parse_date(row[0], line_no)
-        if day in seen:
-            raise DataError(f"line {line_no}: duplicate date {day.isoformat()}")
-        seen.add(day)
-        cell = row[1].strip()
-        if cell == "":
-            continue
-        try:
-            score = int(cell)
-        except ValueError:
-            raise DataError(
-                f"line {line_no}: sleep score must be an integer or empty, got {cell!r}"
-            )
-        if not lo <= score <= hi:
-            raise DataError(
-                f"line {line_no}: sleep score {score} outside [{lo:.0f}, {hi:.0f}]"
-            )
-    raise AssertionError("sleep export rejected, but no row is at fault")
 
 
 def ingest_mood(source: TextSource, absent_as_zero: bool = True) -> SeriesFrame:
@@ -230,41 +273,17 @@ def ingest_mood(source: TextSource, absent_as_zero: bool = True) -> SeriesFrame:
     covered span with no row at all become 0 ("not present") under the
     default ``absent_as_zero`` policy, or stay missing when it is off.
     """
-    records = _records(source)
-    _check_header(records, ("date",) + MOOD_VARIABLES)
-    k = len(MOOD_VARIABLES)
-    try:
-        days, *cells = _columns(records, 1 + k)
-        ordinals = _ordinals(days)
-        level = functools.cache(_integer)
-        levels = np.column_stack([list(map(level, column)) for column in cells])
-    except (ValueError, OverflowError):
-        _locate_mood_error(records)
-    if not np.isin(levels, MOOD_LEVELS).all():  # a blank cell is NaN here
-        _locate_mood_error(records)
+    rows = _Rows(source, ("date",) + MOOD_VARIABLES)
+    ordinals = rows.ordinals
+    levels, level_checks = rows.values(_level, _level_error)
+    _raise_first(rows, [rows.date_check(), *level_checks])
 
     start = int(ordinals.min())
     # -1 is below every level, so it marks the days no row reached.
-    vals = np.full((int(ordinals.max()) - start + 1, k), -1.0)
+    vals = np.full((int(ordinals.max()) - start + 1, len(MOOD_VARIABLES)), -1.0)
     np.maximum.at(vals, ordinals - start, levels)
     vals[vals[:, 0] < 0] = 0.0 if absent_as_zero else np.nan
     return SeriesFrame(dt.date.fromordinal(start), MOOD_VARIABLES, vals)
-
-
-def _locate_mood_error(records: list[list[str]]) -> NoReturn:
-    for line_no, row in _numbered_rows(records, 1 + len(MOOD_VARIABLES)):
-        _parse_date(row[0], line_no)
-        for name, cell in zip(MOOD_VARIABLES, row[1:]):
-            cell = cell.strip()
-            try:
-                value = int(cell)
-            except ValueError:
-                raise DataError(
-                    f"line {line_no}: {name} must be an integer 0-3, got {cell!r}"
-                )
-            if value not in MOOD_LEVELS:
-                raise DataError(f"line {line_no}: {name} value {value} outside 0-3")
-    raise AssertionError("mood log rejected, but no row is at fault")
 
 
 def merge(frames: Sequence[SeriesFrame]) -> SeriesFrame:
@@ -386,40 +405,17 @@ def read_frame_csv(source: TextSource) -> SeriesFrame:
     The date column must be a strictly contiguous ascending daily grid;
     value cells are floats, empty meaning missing.
     """
-    records = _records(source)
-    header = records[0] if records else None
-    if not header or header[0].strip() != "date" or len(header) < 2:
-        raise DataError("frame CSV must start with header 'date,<name1>,...'")
-    names = tuple(h.strip() for h in header[1:])
-    try:
-        days, *columns = _columns(records, len(header))
-        ordinals = _ordinals(days)
-        number = functools.cache(_number)
-        values = np.column_stack([list(map(number, column)) for column in columns])
-    except (ValueError, OverflowError):
-        _locate_frame_error(records, names)
-    if (np.diff(ordinals) != 1).any():
-        _locate_frame_error(records, names)
-    return SeriesFrame(dt.date.fromordinal(int(ordinals[0])), names, values)
+    rows = _Rows(source, None)
+    names = tuple(h.strip() for h in rows.header[1:])
+    first = int(rows.ordinals[0])
+    values, number_checks = rows.values(
+        _number, lambda j, cell: f"malformed number {cell!r} in {names[j]!r}"
+    )
+    off_grid = rows.ordinals != first + np.arange(rows.ordinals.size)
 
+    def off_grid_error(i: int) -> str:
+        expected = dt.date.fromordinal(first + i).isoformat()
+        return f"dates must be contiguous daily; expected {expected}, got {rows.day(i)}"
 
-def _locate_frame_error(records: list[list[str]], names: tuple[str, ...]) -> NoReturn:
-    start: dt.date | None = None
-    for n_rows, (line_no, row) in enumerate(_numbered_rows(records, 1 + len(names))):
-        day = _parse_date(row[0], line_no)
-        if start is None:
-            start = day
-        elif (day - start).days != n_rows:
-            raise DataError(
-                f"line {line_no}: dates must be contiguous daily; "
-                f"expected {(start + dt.timedelta(days=n_rows)).isoformat()}, got {day.isoformat()}"
-            )
-        for name, cell in zip(names, row[1:]):
-            cell = cell.strip()
-            if cell == "":
-                continue
-            try:
-                float(cell)
-            except ValueError:
-                raise DataError(f"line {line_no}: malformed number {cell!r} in {name!r}")
-    raise AssertionError("frame CSV rejected, but no row is at fault")
+    _raise_first(rows, [rows.date_check(), (off_grid, off_grid_error), *number_checks])
+    return SeriesFrame(dt.date.fromordinal(first), names, values)

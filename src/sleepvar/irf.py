@@ -68,7 +68,10 @@ class IrfResult:
 def _ma_recursion(coef: np.ndarray, horizon: int) -> np.ndarray:
     """Phi_0..Phi_horizon for lag stacks ``coef`` of shape (..., p, K, K)."""
     *batch, p, k, _ = coef.shape
-    phi = np.empty((*batch, horizon + 1, k, k))
+    try:
+        phi = np.empty((*batch, horizon + 1, k, k))
+    except ValueError:  # numpy refuses an array of that size
+        raise DataError(f"horizon {horizon} is too large to compute") from None
     phi[..., 0, :, :] = np.eye(k)
     for h in range(1, horizon + 1):
         acc = np.zeros((*batch, k, k))
@@ -175,7 +178,12 @@ def irf_with_bands(
     mean = np.linalg.solve(np.eye(k) - fit.coef.sum(axis=0), fit.intercept)
 
     storage = np.empty(block * n_steps * k)
-    draws = np.empty((replications, horizon + 1, k, k))
+    try:
+        draws = np.empty((replications, horizon + 1, k, k))
+    except ValueError:  # numpy refuses an array of that size
+        raise DataError(
+            f"{replications} replications at horizon {horizon} are too many to keep"
+        ) from None
     ok = np.ones(replications, dtype=bool)
     failures: list[str] = []
     for first in range(0, replications, block):

@@ -129,7 +129,11 @@ def simulate_var(spec: VarProcessSpec, t: int, seed: int) -> SeriesFrame:
     gen = substream(seed, 0)
     chol = cholesky_lower(spec.innovation_cov)
     n = spec.burn_in + t
-    shocks = gen.standard_normal((n, spec.n_vars)) @ chol.T
+    try:
+        draws = gen.standard_normal((n, spec.n_vars))
+    except ValueError:  # numpy refuses an array of that size
+        raise DataError(f"burn_in + t = {n} steps are too many to simulate") from None
+    shocks = draws @ chol.T
     path = iterate_paths(
         spec.intercept, spec.coef, shocks[None, :, :], spec.unconditional_mean()
     )[0]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -126,13 +125,6 @@ class VarFit:
 
     def stability_radius(self) -> float:
         return spectral_radius(companion_matrix(self.coef)) if self.p else 0.0
-
-
-class InformationCriteria(NamedTuple):
-    aic: float
-    bic: float
-    fpe: float
-    hqic: float
 
 
 @dataclass(frozen=True)
@@ -263,7 +255,8 @@ def fit_var(frame: SeriesFrame, p: int) -> VarFit:
     )
 
 
-def _criteria(sigma_ml: np.ndarray, t_star: int, k: int, p: int) -> InformationCriteria:
+def _criteria(sigma_ml: np.ndarray, t_star: int, k: int, p: int) -> tuple[float, ...]:
+    """The criteria at lag ``p`` in :data:`CRITERIA` order."""
     try:
         ld = log_det_pd(sigma_ml)
     except NotPositiveDefiniteError as exc:
@@ -275,28 +268,12 @@ def _criteria(sigma_ml: np.ndarray, t_star: int, k: int, p: int) -> InformationC
     if t_star - regressors <= 0:
         raise DataError(f"not enough observations for criteria at lag {p}")
     fpe = ((t_star + regressors) / (t_star - regressors)) ** k * math.exp(ld)
-    return InformationCriteria(
-        aic=ld + 2.0 * m / t_star,
-        bic=ld + m * math.log(t_star) / t_star,
-        fpe=fpe,
-        hqic=ld + 2.0 * m * math.log(math.log(t_star)) / t_star,
+    return (
+        ld + 2.0 * m / t_star,
+        ld + m * math.log(t_star) / t_star,
+        fpe,
+        ld + 2.0 * m * math.log(math.log(t_star)) / t_star,
     )
-
-
-def information_criteria(frame: SeriesFrame, p: int) -> InformationCriteria:
-    """AIC, BIC, FPE, and HQIC of a VAR(p) fit on this frame."""
-    design, targets = build_lagged_design(frame, p)
-    t_star = design.shape[0]
-    if t_star <= design.shape[1]:
-        raise DataError(
-            f"not enough observations for criteria: {t_star} rows, "
-            f"{design.shape[1]} regressors at lag {p}"
-        )
-    try:
-        _, resid, _ = solve_least_squares(design, targets)
-    except SingularDesignError as exc:
-        raise _map_singular_column(exc, frame.names) from None
-    return _criteria(resid.T @ resid / t_star, t_star, frame.n_vars, p)
 
 
 def select_order(frame: SeriesFrame, max_lags: int, override: int | None = None) -> OrderSelection:

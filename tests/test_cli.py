@@ -174,6 +174,24 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "corrupted model document: var_names" in err and "Traceback" not in err
 
+    # 2**62 only: numpy refuses an array that large before allocating anything.
+    @pytest.mark.parametrize("argv, burn_in, message", [
+        (("simulate", "--spec", "{spec}", "--t", "5"), 2**62, f"burn_in + t = {2**62 + 5} steps"),
+        (("simulate", "--spec", "{spec}", "--t", str(2**62)), 200,
+         f"burn_in + t = {2**62 + 200} steps"),
+        (("irf", "{model}", "--horizon", str(2**62)), 200, f"horizon {2**62} is too large"),
+        (("irf", "{model}", "--replications", str(2**62)), 200,
+         f"{2**62} replications at horizon 10 are too many"),
+    ])
+    def test_oversized_count_is_data_error(self, analysis_inputs, tmp_path, capsys,
+                                           argv, burn_in, message):
+        spec = json.loads(Path(analysis_inputs["spec"]).read_text())
+        (tmp_path / "spec.json").write_text(json.dumps({**spec, "burn_in": burn_in}))
+        inputs = {**analysis_inputs, "spec": str(tmp_path / "spec.json")}
+        code, out, err = run(capsys, *[a.format(**inputs) for a in argv])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+
 
 class TestIngest:
     def test_merged_csv_shape(self, tmp_path, capsys):

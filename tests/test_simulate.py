@@ -197,6 +197,7 @@ class TestProcessSpecDocument:
 
     @pytest.mark.parametrize("field, value", [
         ("burn_in", 10.9), ("burn_in", -1), ("p", 2.0), ("var_names", ["x", "x"]),
+        ("intercept", [True, 0.5]),
     ])
     def test_bad_field_rejected(self, field, value):
         doc = self.spec_doc()

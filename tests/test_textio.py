@@ -218,6 +218,12 @@ def row_of(cells):
     return st.tuples(*cells).map(",".join)
 
 
+def any_width(cells):
+    """A row of ``cells``, except one draw in 20 with one cell too few or too many."""
+    return mostly(row_of(cells), st.one_of(row_of(cells[:-1]), row_of(cells + cells[-1:])),
+                  one_in=20)
+
+
 def header_line(names):
     good = ",".join(names)
     odd = [",".join(f" {n} " for n in names), good.replace("date", "day"),
@@ -243,8 +249,8 @@ def _join(bom, header, lines, ends, trailing):
 
 
 SLEEP_DOCS = document(header_line(("date", "score")),
-                      row_of([date_cell(60), mostly(int_cell(1, 100), st.just(""), one_in=5)]), 2)
-MOOD_DOCS = document(header_line(MOOD_HEADER), row_of([date_cell(8)] + [int_cell(0, 3)] * 4), 5)
+                      any_width([date_cell(60), mostly(int_cell(1, 100), st.just(""), one_in=5)]), 2)
+MOOD_DOCS = document(header_line(MOOD_HEADER), any_width([date_cell(8)] + [int_cell(0, 3)] * 4), 5)
 
 
 def frame_lines(n):
@@ -323,6 +329,21 @@ class TestParsersMatchRowLoop:
         assert got[0] == ("frame" if message is None else "error")
         if message is not None:
             assert got[1] == message
+
+    @pytest.mark.parametrize("parse, oracle, text, message", [
+        # a bad cell before a row of another width: the cell's line
+        (sv.ingest_sleep, oracle_sleep, "date,score\n2020-01-01,abc\n2020-01-02,70,1\n",
+         "line 2: sleep score must be an integer or empty, got 'abc'"),
+        # a row of another width before a bad cell: the width error
+        (sv.ingest_mood, oracle_mood,
+         "date,depressed,anxious,irritable,elevated\n2020-01-01,0,0\n2020-01-02,9,0,0,0\n",
+         "line 2: expected 5 fields, got 3"),
+        (sv.read_frame_csv, oracle_frame, "date,a\n2020-01-01,1\n2020-01-02\n\n2020-13-01,2\n",
+         "line 3: expected 2 fields, got 1"),
+    ])
+    def test_width_fault_order(self, parse, oracle, text, message):
+        got = outcome(parse, io.StringIO(text))
+        assert got == outcome(oracle, io.StringIO(text)) == ("error", message)
 
     @pytest.mark.parametrize("date", ["20190201", "2019-02"])
     def test_dates_numpy_reads_otherwise(self, date):

@@ -185,25 +185,26 @@ class TestInformationCriteria:
     def test_scalar_hand_computation(self):
         series = list(sv.white_noise(20, seed=6) + 2.0)
         frame = make_frame({"y": series})
-        got = sv.information_criteria(frame, 1)
+        # with max_lags = p = 1 the common sample is the lag-1 fit's own
+        aic, bic, fpe, hqic = sv.select_order(frame, 1).table[1]
         beta = scalar_ar_ols(series, 1)
         resid = [series[t] - beta[0] - beta[1] * series[t - 1] for t in range(1, 20)]
         t_star = 19.0
         sigma_ml = sum(r * r for r in resid) / t_star
         ld = math.log(sigma_ml)
         m = 2.0
-        assert got.aic == pytest.approx(ld + 2 * m / t_star, abs=1e-10)
-        assert got.bic == pytest.approx(ld + m * math.log(t_star) / t_star, abs=1e-10)
-        assert got.hqic == pytest.approx(
+        assert aic == pytest.approx(ld + 2 * m / t_star, abs=1e-10)
+        assert bic == pytest.approx(ld + m * math.log(t_star) / t_star, abs=1e-10)
+        assert hqic == pytest.approx(
             ld + 2 * m * math.log(math.log(t_star)) / t_star, abs=1e-10
         )
-        assert got.fpe == pytest.approx(
+        assert fpe == pytest.approx(
             ((t_star + 2) / (t_star - 2)) * sigma_ml, abs=1e-10
         )
 
     def test_fpe_formula_point(self):
-        crit = _criteria(np.eye(2), 100, 2, 1)
-        assert crit.fpe == pytest.approx((103.0 / 97.0) ** 2, abs=1e-12)
+        _, _, fpe, _ = _criteria(np.eye(2), 100, 2, 1)
+        assert fpe == pytest.approx((103.0 / 97.0) ** 2, abs=1e-12)
 
     def test_white_noise_prefers_lag_zero(self):
         # comparable-sample AIC at lag 0 vs lag 5 on pure noise
@@ -335,6 +336,8 @@ class TestPersistence:
         ("p", 2.7), ("p", True), ("p", "2"),
         ("t_eff", 1453.0),
         ("intercept", [10**400] * 5),  # too large for a float
+        ("intercept", [True, 30.1, 0, 0, 0]),  # numpy would read true as 1.0
+        ("intercept", [1, "30.1", 0, 0, 0]),  # and "30.1" as 30.1
     ])
     def test_bad_field_rejected(self, dataset_fit, field, value):
         buf = io.StringIO()
