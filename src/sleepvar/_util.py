@@ -3,6 +3,7 @@ document reader and its field rules, the normal CDF."""
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
 import math
@@ -18,7 +19,8 @@ from .errors import DataError, ModelFormatError
 TextSource = Union[str, os.PathLike, IO[str]]
 T = TypeVar("T")
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2          # the version save_model writes
+READABLE_VERSIONS = (1, 2)  # the versions model and process documents are read in
 
 
 def norm_cdf(x: float) -> float:
@@ -48,22 +50,60 @@ def checked_count(value, what: str) -> int:
     return int(value)
 
 
+def packed(arr: np.ndarray) -> dict:
+    """The packed JSON form of ``arr`` that :func:`frozen_array` reads: its
+    shape, and its float64 entries in C order as little-endian bytes in base64."""
+    data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return {"shape": list(arr.shape), "float64le": base64.b64encode(data).decode("ascii")}
+
+
+def _unpacked(value: dict, what: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The array of a :func:`packed` form, which must declare ``shape``.
+
+    The declared shape is compared with ``shape`` and the decoded length
+    with it before anything is reshaped, so no size in the document reaches
+    an allocation.
+    """
+    if set(value) != {"shape", "float64le"}:
+        raise DataError(f"{what} must be an array of numbers or hold 'shape' and 'float64le'")
+    dims, text = value["shape"], value["float64le"]
+    if not isinstance(dims, list):
+        raise DataError(f"{what} shape must be a list of counts, got {dims!r}")
+    dims = tuple(checked_count(n, f"{what} shape entry") for n in dims)
+    if dims != shape:
+        raise DataError(f"{what} must have shape {shape}, got {dims}")
+    if not isinstance(text, str):
+        raise DataError(f"{what} float64le must be a base64 string")
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError:
+        raise DataError(f"{what} float64le is not valid base64") from None
+    if len(data) != (need := 8 * math.prod(dims)):
+        raise DataError(f"{what} float64le holds {len(data)} bytes, shape {dims} needs {need}")
+    return np.frombuffer(data, dtype="<f8").reshape(dims)
+
+
 def frozen_array(value, what: str, shape: tuple[int, ...]) -> np.ndarray:
     """A read-only float64 copy of ``value``, which must have ``shape`` and be finite.
 
-    An empty value takes an empty ``shape``, as the lag stack of a VAR(0)
-    arrives flat (``[]``) from JSON.  Every entry must be a real number: numpy
-    would read a bool or a numeric string as one, so those are rejected.
+    ``value`` is an array, nested lists of numbers, or the :func:`packed`
+    form.  An empty value takes an empty ``shape``, as the lag stack of a
+    VAR(0) arrives flat (``[]``) from JSON.  Every entry must be a real
+    number: numpy would read a bool or a numeric string as one, so those are
+    rejected.
     """
-    try:
-        arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
-        if arr.dtype.kind not in "fiu" and not all(
-            issubclass(t, numbers.Real) and t is not bool for t in set(map(type, arr.flat))
-        ):
-            raise TypeError
-        arr = np.asarray(arr, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise DataError(f"{what} must be an array of numbers") from None
+    if isinstance(value, dict):
+        arr = _unpacked(value, what, shape)
+    else:
+        try:
+            arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+            if arr.dtype.kind not in "fiu" and not all(
+                issubclass(t, numbers.Real) and t is not bool for t in set(map(type, arr.flat))
+            ):
+                raise TypeError
+            arr = np.asarray(arr, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise DataError(f"{what} must be an array of numbers") from None
     if arr.size == 0 and 0 in shape:
         arr = arr.reshape(shape)
     if arr.shape != shape:
@@ -78,8 +118,8 @@ def load_document(
 ) -> T:
     """Decode the JSON document at ``source`` and return ``build(doc)``.
 
-    The top level must be an object whose ``version`` (1 when absent) is
-    :data:`SCHEMA_VERSION` and which holds every ``required`` field.  Each
+    The top level must be an object whose ``version`` (1 when absent) is one
+    of :data:`READABLE_VERSIONS` and which holds every ``required`` field.  Each
     fault found here, or raised by ``build`` as TypeError, ValueError or
     DataError, becomes ``ModelFormatError("corrupted <what> document: ...")``.
     """
@@ -87,9 +127,10 @@ def load_document(
         doc = json.loads(read_text(source))
         if not isinstance(doc, dict):
             raise DataError("top level must be an object")
-        version = checked_count(doc.get("version", SCHEMA_VERSION), "version")
-        if version != SCHEMA_VERSION:
-            raise DataError(f"unsupported schema version {version} (expected {SCHEMA_VERSION})")
+        version = checked_count(doc.get("version", 1), "version")
+        if version not in READABLE_VERSIONS:
+            expected = " or ".join(map(str, READABLE_VERSIONS))
+            raise DataError(f"unsupported schema version {version} (expected {expected})")
         for name in required:
             if name not in doc:
                 raise DataError(f"missing field {name!r}")

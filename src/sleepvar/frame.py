@@ -414,8 +414,11 @@ def read_frame_csv(source: TextSource) -> SeriesFrame:
     off_grid = rows.ordinals != first + np.arange(rows.ordinals.size)
 
     def off_grid_error(i: int) -> str:
-        expected = dt.date.fromordinal(first + i).isoformat()
-        return f"dates must be contiguous daily; expected {expected}, got {rows.day(i)}"
+        if first + i > dt.date.max.toordinal():  # the row before it holds the last date
+            expected = f"no date follows {dt.date.max}"
+        else:
+            expected = f"expected {dt.date.fromordinal(first + i)}"
+        return f"dates must be contiguous daily; {expected}, got {rows.day(i)}"
 
     _raise_first(rows, [rows.date_check(), (off_grid, off_grid_error), *number_checks])
     return SeriesFrame(dt.date.fromordinal(first), names, values)

@@ -70,7 +70,7 @@ def _ma_recursion(coef: np.ndarray, horizon: int) -> np.ndarray:
     *batch, p, k, _ = coef.shape
     try:
         phi = np.empty((*batch, horizon + 1, k, k))
-    except ValueError:  # numpy refuses an array of that size
+    except (ValueError, MemoryError):  # numpy refuses, or malloc fails on, an array of that size
         raise DataError(f"horizon {horizon} is too large to compute") from None
     phi[..., 0, :, :] = np.eye(k)
     for h in range(1, horizon + 1):
@@ -180,7 +180,7 @@ def irf_with_bands(
     storage = np.empty(block * n_steps * k)
     try:
         draws = np.empty((replications, horizon + 1, k, k))
-    except ValueError:  # numpy refuses an array of that size
+    except (ValueError, MemoryError):  # numpy refuses, or malloc fails on, an array of that size
         raise DataError(
             f"{replications} replications at horizon {horizon} are too many to keep"
         ) from None

@@ -23,6 +23,7 @@ from ._util import TextSource, checked_count, checked_names, frozen_array, load_
 from .errors import DataError, NotPositiveDefiniteError
 from .frame import SeriesFrame
 from .linalg import cholesky_lower, companion_matrix, spectral_radius
+from .var import residual_covariances
 
 SIM_EPOCH = dt.date(2000, 1, 1)
 DEFAULT_BURN_IN = 200
@@ -131,7 +132,7 @@ def simulate_var(spec: VarProcessSpec, t: int, seed: int) -> SeriesFrame:
     n = spec.burn_in + t
     try:
         draws = gen.standard_normal((n, spec.n_vars))
-    except ValueError:  # numpy refuses an array of that size
+    except (ValueError, MemoryError):  # numpy refuses, or malloc fails on, an array of that size
         raise DataError(f"burn_in + t = {n} steps are too many to simulate") from None
     shocks = draws @ chol.T
     path = iterate_paths(
@@ -160,11 +161,19 @@ def load_process_spec(source: TextSource) -> VarProcessSpec:
     """Read a process document: the model JSON schema minus inference fields.
 
     Required: var_names, p, intercept, coef, and the innovation covariance
-    under either ``sigma_u`` or ``innovation_cov``.  Optional: version, burn_in.
+    under either ``sigma_u`` or ``innovation_cov``, or else the ``residuals``
+    and ``t_eff`` of a model document, from which it is derived as
+    :class:`~sleepvar.var.VarFit` derives ``sigma_u``.  Optional: version, burn_in.
     """
 
     def build(doc: dict) -> VarProcessSpec:
         cov = doc.get("sigma_u", doc.get("innovation_cov"))
+        if cov is None and "residuals" in doc:  # a version-2 model document
+            if "t_eff" not in doc:
+                raise DataError("missing field 't_eff'")
+            names, p = checked_names(doc["var_names"], "var_names"), checked_count(doc["p"], "p")
+            shape = (checked_count(doc["t_eff"], "t_eff"), len(names))
+            cov = residual_covariances(frozen_array(doc["residuals"], "residuals", shape), p)[0]
         if cov is None:
             raise DataError("missing field 'sigma_u'")
         return VarProcessSpec(

@@ -5,7 +5,7 @@ The model for a K-variable daily frame is
     Y_t = nu + A_1 Y_{t-1} + ... + A_p Y_{t-p} + u_t
 
 estimated by least squares on the shared lagged design.  Two residual
-covariance estimates are kept: the ML divisor (t_eff) feeds the information
+covariance estimates are derived: the ML divisor (t_eff) feeds the information
 criteria, the degrees-of-freedom-adjusted divisor (t_eff - K*p - 1) feeds
 coefficient inference and impulse responses.
 """
@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._util import (
     SCHEMA_VERSION, TextSource, checked_count, checked_names, freeze, frozen_array, load_document,
-    norm_cdf, write_text,
+    norm_cdf, packed, write_text,
 )
 from .errors import DataError, NotPositiveDefiniteError, NumericError, SingularDesignError
 from .frame import SeriesFrame
@@ -61,31 +61,50 @@ def unstack_params(stacked: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]
     return stacked[0], stacked[1:].reshape(p, k, k).transpose(0, 2, 1)
 
 
+def residual_covariances(residuals: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The df-adjusted and the ML residual covariance of a VAR(p) from its
+    (t_eff, K) residuals u: u'u / (t_eff - K*p - 1) and u'u / t_eff."""
+    t_eff, k = residuals.shape
+    dof = t_eff - (k * p + 1)
+    if dof < 1:
+        raise DataError(
+            f"not enough observations for inference: t_eff={t_eff} with {k * p + 1} regressors"
+        )
+    cross = residuals.T @ residuals
+    return cross / dof, cross / t_eff
+
+
 @dataclass(frozen=True)
 class VarFit:
-    """A fitted VAR(p).
+    """A fitted VAR(p): the estimate, and the inference derived from it.
 
     ``coef[l][i][j]`` is the effect of variable j at lag l+1 on the equation
     of variable i.  ``normal_matrix_inverse`` is (X'X)^-1 of the shared
-    design (constant first, then the lag-1 block, lag-2 block, ...), which
-    inference reuses for coefficient covariances.
+    design (constant first, then the lag-1 block, lag-2 block, ...).
+
+    The constructor takes the estimate alone.  The residual covariances come
+    from ``residuals`` (:func:`residual_covariances`); the standard errors
+    are sqrt(diag((X'X)^-1) diag(sigma_u)'), and the p-values use the
+    asymptotic normal approximation, two sided (Lutkepohl 2005, sec. 3.2).
+    A fresh fit and its saved and loaded copy run this code on the same
+    bytes, so every derived array agrees bit for bit.
     """
 
     var_names: tuple[str, ...]
     p: int
+    t_eff: int
     intercept: np.ndarray          # (K,)
     coef: np.ndarray               # (p, K, K)
-    sigma_u: np.ndarray            # (K, K), df-adjusted divisor
-    sigma_u_ml: np.ndarray         # (K, K), ML divisor
-    intercept_se: np.ndarray
-    intercept_t: np.ndarray
-    intercept_p: np.ndarray
-    coef_se: np.ndarray
-    coef_t: np.ndarray
-    coef_p: np.ndarray
-    t_eff: int
     residuals: np.ndarray          # (t_eff, K)
     normal_matrix_inverse: np.ndarray  # (K*p+1, K*p+1)
+    sigma_u: np.ndarray = field(init=False, repr=False)     # (K, K), df-adjusted divisor
+    sigma_u_ml: np.ndarray = field(init=False, repr=False)  # (K, K), ML divisor
+    intercept_se: np.ndarray = field(init=False, repr=False)
+    intercept_t: np.ndarray = field(init=False, repr=False)
+    intercept_p: np.ndarray = field(init=False, repr=False)
+    coef_se: np.ndarray = field(init=False, repr=False)
+    coef_t: np.ndarray = field(init=False, repr=False)
+    coef_p: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         names = checked_names(self.var_names, "var_names")
@@ -93,16 +112,24 @@ class VarFit:
         k = len(names)
         fields = {"var_names": names, "p": p, "t_eff": t_eff}
         shapes = {
-            "intercept": (k,), "intercept_se": (k,), "intercept_t": (k,), "intercept_p": (k,),
-            "coef": (p, k, k), "coef_se": (p, k, k), "coef_t": (p, k, k), "coef_p": (p, k, k),
-            "sigma_u": (k, k), "sigma_u_ml": (k, k),
-            "residuals": (t_eff, k),
+            "intercept": (k,), "coef": (p, k, k), "residuals": (t_eff, k),
             "normal_matrix_inverse": (k * p + 1, k * p + 1),
         }
         for name, want in shapes.items():
-            arr = fields[name] = frozen_array(getattr(self, name), name, want)
-            if name in ("sigma_u", "sigma_u_ml", "normal_matrix_inverse") and not is_symmetric(arr):
-                raise DataError(f"{name} is not symmetric")
+            fields[name] = frozen_array(getattr(self, name), name, want)
+        nmi = fields["normal_matrix_inverse"]
+        if not is_symmetric(nmi):
+            raise DataError("normal_matrix_inverse is not symmetric")
+
+        sigma, sigma_ml = residual_covariances(fields["residuals"], p)
+        se = np.sqrt(np.outer(np.diag(nmi), np.diag(sigma)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(se > 0, stack_params(fields["intercept"], fields["coef"]) / se, 0.0)
+        pv = 2.0 * np.vectorize(norm_cdf, otypes=[float])(-np.abs(t))
+        derived = {"sigma_u": sigma, "sigma_u_ml": sigma_ml}
+        for stat, stacked in (("se", se), ("t", t), ("p", pv)):
+            derived[f"intercept_{stat}"], derived[f"coef_{stat}"] = unstack_params(stacked, p)
+        fields.update((name, freeze(value)) for name, value in derived.items())
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
@@ -206,9 +233,8 @@ def _map_singular_column(exc: SingularDesignError, names) -> SingularDesignError
 def fit_var(frame: SeriesFrame, p: int) -> VarFit:
     """Estimate a VAR(p) on a fully-imputed frame (no missing cells).
 
-    Coefficient standard errors come from the df-adjusted residual
-    covariance and the shared inverse normal matrix; p-values use the
-    asymptotic normal approximation, two sided.
+    The fit's covariances and coefficient inference are derived by
+    :class:`VarFit` from the residuals and the shared inverse normal matrix.
     """
     design, targets = build_lagged_design(frame, p)
     k = frame.n_vars
@@ -223,36 +249,9 @@ def fit_var(frame: SeriesFrame, p: int) -> VarFit:
         coef_stacked, resid, nmi = solve_least_squares(design, targets)
     except SingularDesignError as exc:
         raise _map_singular_column(exc, frame.names) from None
-
-    sigma_ml = resid.T @ resid / t_eff
-    sigma = resid.T @ resid / dof
-    se_stacked = np.sqrt(np.outer(np.diag(nmi), np.diag(sigma)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stacked = np.where(se_stacked > 0, coef_stacked / se_stacked, 0.0)
-    p_stacked = 2.0 * np.vectorize(norm_cdf, otypes=[float])(-np.abs(t_stacked))
-
     intercept, coef = unstack_params(coef_stacked, p)
-    intercept_se, coef_se = unstack_params(se_stacked, p)
-    intercept_t, coef_t = unstack_params(t_stacked, p)
-    intercept_p, coef_p = unstack_params(p_stacked, p)
-
-    return VarFit(
-        var_names=frame.names,
-        p=p,
-        intercept=intercept,
-        coef=coef,
-        sigma_u=sigma,
-        sigma_u_ml=sigma_ml,
-        intercept_se=intercept_se,
-        intercept_t=intercept_t,
-        intercept_p=intercept_p,
-        coef_se=coef_se,
-        coef_t=coef_t,
-        coef_p=coef_p,
-        t_eff=t_eff,
-        residuals=resid,
-        normal_matrix_inverse=nmi,
-    )
+    return VarFit(var_names=frame.names, p=p, t_eff=t_eff, intercept=intercept, coef=coef,
+                  residuals=resid, normal_matrix_inverse=nmi)
 
 
 def _criteria(sigma_ml: np.ndarray, t_star: int, k: int, p: int) -> tuple[float, ...]:
@@ -294,7 +293,7 @@ def select_order(frame: SeriesFrame, max_lags: int, override: int | None = None)
     if t_star < k * max_lags + 2:
         raise DataError(
             f"not enough observations to compare lags up to {max_lags}: "
-            f"common sample has {t_star} rows"
+            f"{(k + 1) * max_lags + 2} are needed, the frame has {t_total}"
         )
 
     # One QR of [X | Y] at max_lags: the lag-p design is the first 1 + K*p
@@ -322,32 +321,33 @@ def select_order(frame: SeriesFrame, max_lags: int, override: int | None = None)
 
 
 # ---------------------------------------------------------------------------
-# Persistence: JSON, schema version 1.  Floats are written with Python's
-# shortest round-trip repr, so save -> load reproduces every field exactly.
+# Persistence: JSON, schema version 2.  The document holds the estimate, the
+# constructor's fields; VarFit derives the rest.  Floats are written with
+# Python's shortest round-trip repr, and ``residuals``, nearly all of the
+# numbers, as its exact bytes in base64, so save -> load reproduces every
+# field bit for bit.  A version-1 document, which also held the derived
+# arrays, still loads; those arrays are not read.
 
-_ARRAY_FIELDS = (
-    "intercept", "coef", "sigma_u", "sigma_u_ml",
-    "intercept_se", "intercept_t", "intercept_p",
-    "coef_se", "coef_t", "coef_p",
-    "residuals", "normal_matrix_inverse",
-)
+_MODEL_FIELDS = ("var_names", "p", "t_eff", "intercept", "coef", "residuals",
+                 "normal_matrix_inverse")
 
 
 def save_model(fit: VarFit, sink: TextSource) -> None:
-    """Write the fit as a version-1 JSON document (lossless round-trip)."""
-    doc: dict = {
+    """Write the fit as a version-2 JSON document (lossless round-trip)."""
+    doc = {
         "version": SCHEMA_VERSION,
         "var_names": list(fit.var_names),
         "p": fit.p,
         "t_eff": fit.t_eff,
+        "intercept": fit.intercept.tolist(),
+        "coef": fit.coef.tolist(),
+        "residuals": packed(fit.residuals),
+        "normal_matrix_inverse": fit.normal_matrix_inverse.tolist(),
     }
-    for name in _ARRAY_FIELDS:
-        doc[name] = getattr(fit, name).tolist()
     write_text(sink, json.dumps(doc) + "\n")
 
 
 def load_model(source: TextSource) -> VarFit:
-    """Read a model document written by :func:`save_model`."""
-    fields = ("var_names", "p", "t_eff", *_ARRAY_FIELDS)
-    return load_document(source, "model", ("version", *fields),
-                         lambda doc: VarFit(**{name: doc[name] for name in fields}))
+    """Read a model document written by :func:`save_model`, or a version-1 one."""
+    return load_document(source, "model", ("version", *_MODEL_FIELDS),
+                         lambda doc: VarFit(**{name: doc[name] for name in _MODEL_FIELDS}))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import json
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,17 @@ def frames_equal(a: sv.SeriesFrame, b: sv.SeriesFrame) -> bool:
         and a.names == b.names
         and np.array_equal(a.values, b.values, equal_nan=True)
     )
+
+
+def v1_model_text(fit: sv.VarFit) -> str:
+    """``fit`` as a version-1 model document, the layout that schema wrote:
+    every array as nested JSON lists, the eight derived ones included."""
+    doc = {"version": 1, "var_names": list(fit.var_names), "p": fit.p, "t_eff": fit.t_eff}
+    for name in ("intercept", "coef", "sigma_u", "sigma_u_ml", "intercept_se", "intercept_t",
+                 "intercept_p", "coef_se", "coef_t", "coef_p", "residuals",
+                 "normal_matrix_inverse"):
+        doc[name] = getattr(fit, name).tolist()
+    return json.dumps(doc) + "\n"
 
 
 def make_frame(columns: dict[str, list], start=dt.date(2019, 2, 1)) -> sv.SeriesFrame:

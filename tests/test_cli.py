@@ -1,21 +1,25 @@
 """Command-line behavior: exit codes, outputs, determinism, JSON schemas."""
 
+import base64
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sleepvar as sv
+from sleepvar._util import packed
 from sleepvar.cli import main
 
-from conftest import DATA_DIR, GOLDEN_DIR
+from conftest import DATA_DIR, GOLDEN_DIR, v1_model_text
 
 SLEEP = str(DATA_DIR / "sleep.csv")
 MOOD = str(DATA_DIR / "mood.csv")
@@ -148,7 +152,6 @@ class TestExitCodes:
             assert "non-finite" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("field, cell, argv", [
-        ("sigma_u", (0, 1), ("irf", "--replications", "100")),
         ("normal_matrix_inverse", (1, 6), ("granger", "--causing", "score")),
     ])
     def test_asymmetric_model_is_data_error(self, tmp_path, capsys, field, cell, argv):
@@ -191,6 +194,27 @@ class TestExitCodes:
         code, out, err = run(capsys, *[a.format(**inputs) for a in argv])
         assert code == 2 and out == ""
         assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+    # Sizes past the 47-bit address space only: malloc refuses them without
+    # allocating.  A size that fits is never tried.
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", "--spec", "{spec}", "--t", str(10**13)),
+         f"burn_in + t = {10**13 + 200} steps are too many"),
+        (("irf", "{model}", "--horizon", str(10**13)), f"horizon {10**13} is too large"),
+        (("irf", "{model}", "--replications", str(10**13)),
+         f"{10**13} replications at horizon 10 are too many"),
+    ])
+    def test_unallocatable_count_is_data_error(self, analysis_inputs, capsys, argv, message):
+        code, out, err = run(capsys, *[a.format(**analysis_inputs) for a in argv])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+    def test_select_order_limit_is_a_count(self, analysis_inputs, capsys):
+        code, out, err = run(capsys, "select-order", analysis_inputs["merged"],
+                             "--maxlags", "100000")
+        assert code == 2 and out == ""
+        assert err == ("error: not enough observations to compare lags up to 100000: "
+                       "600002 are needed, the frame has 1455\n")
 
 
 class TestIngest:
@@ -354,6 +378,35 @@ class TestSimulateCommand:
         assert out.read_bytes() == out2.read_bytes()
 
 
+class TestModelDocuments:
+    """A version-1 model document reads as its version-2 form does, and a
+    model document is a process spec."""
+
+    @pytest.fixture(scope="class")
+    def v1_model(self, analysis_inputs, dataset_fit):
+        path = Path(analysis_inputs["model"]).with_name("model_v1.json")
+        path.write_text(v1_model_text(dataset_fit))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ("granger", "--causing", "score"),
+        ("granger", "--causing", "score", "--json"),
+        ("irf", "--replications", "100", "--horizon", "3"),
+    ], ids=lambda argv: "-".join(argv))
+    def test_version1_gives_the_same_bytes(self, analysis_inputs, v1_model, capsys, argv):
+        v2 = run(capsys, argv[0], analysis_inputs["model"], *argv[1:])
+        assert v2[0] == 0
+        assert run(capsys, argv[0], v1_model, *argv[1:]) == v2
+
+    def test_model_is_a_process_spec(self, analysis_inputs, v1_model, capsys):
+        # version 2 derives sigma_u from the residuals, version 1 stores it:
+        # the same covariance, so the same draws
+        argv = ("--t", "30", "--seed", "0")
+        v2 = run(capsys, "simulate", "--spec", analysis_inputs["model"], *argv)
+        assert v2[0] == 0 and v2[1].startswith("date,score,depressed,")
+        assert run(capsys, "simulate", "--spec", v1_model, *argv) == v2
+
+
 def fresh_cli(*argv) -> tuple[int, str, str]:
     """Run the CLI in a fresh interpreter: exit code, stdout, stderr."""
     env = dict(os.environ,
@@ -489,10 +542,34 @@ JSON_VALUES = st.recursive(
     max_leaves=8,
 )
 DELETE = object()
-MODEL_FIELDS = ("version", "var_names", "p", "t_eff", "intercept", "coef", "sigma_u",
-                "sigma_u_ml", "intercept_se", "intercept_t", "intercept_p", "coef_se",
-                "coef_t", "coef_p", "residuals", "normal_matrix_inverse")
+MODEL_FIELDS = ("version", "var_names", "p", "t_eff", "intercept", "coef", "residuals",
+                "normal_matrix_inverse")
 SPEC_FIELDS = ("version", "var_names", "p", "intercept", "coef", "sigma_u", "burn_in")
+
+
+def packed_forms(real: dict):
+    """The packed form of a model's residuals, ``real``, with its shape, its
+    text, or both drawn from variants that are almost all broken: other
+    shapes (``[-1, K]`` among them), text cut short, lengthened, with a
+    character outside the alphabet or a leading newline, the right length of
+    non-finite entries, short base64 of any bytes, and any JSON value.  Only
+    ``real`` itself is a valid draw."""
+    t_eff, k = real["shape"]
+    text = real["float64le"]
+    shapes = st.sampled_from([[t_eff, k], [k, t_eff], [-1, k], [t_eff, -1], [t_eff], [t_eff, k, 1],
+                              [t_eff + 1, k], [0, k], [2**62, 2**62]]) | JSON_VALUES
+    texts = st.one_of(
+        st.just(text),
+        st.sampled_from([text[:-4], text + "AAAA", "\n" + text, text.replace("A", "-", 1), ""]),
+        st.sampled_from([math.nan, math.inf, -math.inf]).map(
+            lambda v: packed(np.full((t_eff, k), v))["float64le"]),
+        st.binary(max_size=64).map(lambda b: base64.b64encode(b).decode("ascii")),
+        JSON_VALUES,
+    )
+    forms = st.fixed_dictionaries({"shape": shapes, "float64le": texts})
+    return forms | st.builds(lambda form, extra: {**form, **extra}, forms,
+                             st.dictionaries(st.sampled_from(["dtype", "Shape"]), JSON_VALUES,
+                                             min_size=1))
 
 
 def conforms(field: str, value) -> bool:
@@ -509,7 +586,7 @@ class TestDocumentFuzz:
 
     @pytest.fixture(scope="class")
     def fields_json(self, analysis_inputs):
-        """Each document's fields as JSON texts, serialized once (the model is 160 KB)."""
+        """Each document's fields as JSON texts, serialized once (the model is 80 KB)."""
         return {kind: {k: json.dumps(v) for k, v in json.loads(Path(path).read_text()).items()}
                 for kind, path in analysis_inputs.items() if kind in ("model", "spec")}
 
@@ -527,12 +604,29 @@ class TestDocumentFuzz:
         assert code in (0, 2) and "Traceback" not in err.getvalue(), err.getvalue()
         if field in ("var_names", "p", "t_eff") and (value is DELETE or not conforms(field, value)):
             assert code == 2 and "corrupted" in err.getvalue(), err.getvalue()
+        return code, err.getvalue()
 
     @given(field=st.sampled_from(MODEL_FIELDS), value=st.just(DELETE) | JSON_VALUES)
     @settings(max_examples=100, deadline=None)
     def test_granger_model(self, analysis_inputs, fields_json, field, value):
         self.run_edited(Path(analysis_inputs["model"]).parent, fields_json["model"], field, value,
                         ("granger", "{doc}", "--causing", "score"))
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_granger_model_packed_residuals(self, analysis_inputs, fields_json, data):
+        real = json.loads(fields_json["model"]["residuals"])
+        value = data.draw(packed_forms(real), label="residuals")
+        code, err = self.run_edited(Path(analysis_inputs["model"]).parent, fields_json["model"],
+                                    "residuals", value, ("granger", "{doc}", "--causing", "score"))
+        if json.dumps(value) != json.dumps(real):
+            assert code == 2 and err.startswith("error: corrupted model document: residuals"), err
+
+    @given(field=st.sampled_from(MODEL_FIELDS), value=st.just(DELETE) | JSON_VALUES)
+    @settings(max_examples=100, deadline=None)
+    def test_simulate_model_spec(self, analysis_inputs, fields_json, field, value):
+        self.run_edited(Path(analysis_inputs["model"]).parent, fields_json["model"], field, value,
+                        ("simulate", "--spec", "{doc}", "--t", "5"))
 
     @given(field=st.sampled_from(SPEC_FIELDS), value=st.just(DELETE) | JSON_VALUES)
     @settings(max_examples=100, deadline=None)

@@ -30,6 +30,14 @@ def random_stable_fit(seed: int, k: int = 2, p: int = 2) -> sv.VarFit:
     return sv.fit_var(sv.simulate_var(spec, 500, seed=seed), p)
 
 
+def with_covariance(fit: sv.VarFit, cov: np.ndarray, **changes) -> sv.VarFit:
+    """``fit`` with residuals whose df-adjusted covariance is ``cov`` up to
+    rounding: sqrt(dof) L' in the first K rows, where L L' = cov, and zeros below."""
+    resid = np.zeros_like(fit.residuals)
+    resid[: fit.n_vars] = np.sqrt(fit.t_eff - fit.n_params) * np.linalg.cholesky(cov).T
+    return dataclasses.replace(fit, residuals=resid, **changes)
+
+
 def shock_propagation_oracle(fit: sv.VarFit, horizon: int) -> np.ndarray:
     """Difference between a shocked and an unshocked zero-noise forward run."""
     k = fit.n_vars
@@ -112,8 +120,7 @@ class TestMaCoefficients:
 
 class TestOrthogonalizedIrf:
     def test_identity_covariance_keeps_phi(self):
-        fit = random_stable_fit(2)
-        fit = dataclasses.replace(fit, sigma_u=np.eye(2))
+        fit = with_covariance(random_stable_fit(2), np.eye(2))
         assert np.allclose(
             sv.orthogonalized_irf(fit, 8), sv.ma_coefficients(fit, 8), atol=1e-14
         )
@@ -128,12 +135,7 @@ class TestOrthogonalizedIrf:
         assert np.allclose(theta0, np.tril(theta0), atol=1e-14)
 
     def test_diagonal_covariance_no_dynamics(self):
-        fit = random_stable_fit(5)
-        fit = dataclasses.replace(
-            fit,
-            coef=np.zeros((2, 2, 2)),
-            sigma_u=np.diag([4.0, 1.0]),
-        )
+        fit = with_covariance(random_stable_fit(5), np.diag([4.0, 1.0]), coef=np.zeros((2, 2, 2)))
         theta = sv.orthogonalized_irf(fit, 3)
         assert np.allclose(theta[0], np.diag([2.0, 1.0]), atol=1e-14)
         assert np.allclose(theta[1:], 0.0, atol=1e-14)

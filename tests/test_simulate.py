@@ -216,3 +216,30 @@ class TestProcessSpecDocument:
         sv.save_model(fit, buf)
         spec = sv.load_process_spec(io.StringIO(buf.getvalue()))
         assert spec.p == 2 and np.array_equal(spec.coef, fit.coef)
+
+    def test_model_document_derives_sigma_u(self):
+        # a version-2 model stores no sigma_u: the spec derives it from the
+        # residuals as VarFit does, to the bit
+        fit = sv.fit_var(sv.simulate_var(VAR2_SPEC, 300, seed=3), 2)
+        buf = io.StringIO()
+        sv.save_model(fit, buf)
+        assert "sigma_u" not in json.loads(buf.getvalue())
+        spec = sv.load_process_spec(io.StringIO(buf.getvalue()))
+        assert np.array_equal(spec.innovation_cov, fit.sigma_u)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("t_eff"), "missing field 't_eff'"),
+        (lambda doc: doc.update(t_eff=5), r"residuals must have shape \(5, 2\)"),
+        (lambda doc: doc.update(t_eff=4, residuals=[[0.0, 0.0]] * 4),
+         "not enough observations for inference: t_eff=4 with 5 regressors"),
+        (lambda doc: doc["residuals"].update(float64le="@"),
+         "residuals float64le is not valid base64"),
+        (lambda doc: doc.pop("residuals"), "missing field 'sigma_u'"),
+    ], ids=["no-t_eff", "wrong-t_eff", "too-few-rows", "bad-base64", "no-residuals"])
+    def test_model_document_residuals_checked(self, edit, message):
+        buf = io.StringIO()
+        sv.save_model(sv.fit_var(sv.simulate_var(VAR2_SPEC, 300, seed=3), 2), buf)
+        doc = json.loads(buf.getvalue())
+        edit(doc)
+        with pytest.raises(ModelFormatError, match=f"corrupted process document: {message}"):
+            sv.load_process_spec(io.StringIO(json.dumps(doc)))

@@ -139,10 +139,12 @@ def oracle_frame(source):
             if start is None:
                 start = day
             elif (day - start).days != len(rows):
-                raise DataError(
-                    f"line {line_no}: dates must be contiguous daily; "
-                    f"expected {(start + dt.timedelta(days=len(rows))).isoformat()}, got {day.isoformat()}"
-                )
+                if (dt.date.max - start).days < len(rows):  # the grid has run past date.max
+                    expected = f"no date follows {dt.date.max.isoformat()}"
+                else:
+                    expected = f"expected {(start + dt.timedelta(days=len(rows))).isoformat()}"
+                raise DataError(f"line {line_no}: dates must be contiguous daily; "
+                                f"{expected}, got {day.isoformat()}")
             parsed = []
             for j, cell in enumerate(row[1:]):
                 cell = cell.strip()
@@ -344,6 +346,26 @@ class TestParsersMatchRowLoop:
     def test_width_fault_order(self, parse, oracle, text, message):
         got = outcome(parse, io.StringIO(text))
         assert got == outcome(oracle, io.StringIO(text)) == ("error", message)
+
+    @pytest.mark.parametrize("text, message", [
+        ("date,a\n9999-12-31,1\n9999-12-30,2\n",
+         "line 3: dates must be contiguous daily; no date follows 9999-12-31, got 9999-12-30"),
+        ("date,a\n9999-12-30,1\n9999-12-31,2\n9999-12-31,3\n",
+         "line 4: dates must be contiguous daily; no date follows 9999-12-31, got 9999-12-31"),
+        ("date,a\n9999-12-30,1\n9999-12-31,2\n", None),
+    ])
+    def test_grid_ending_at_the_last_date(self, text, message):
+        # no date follows date.max, so neither parser may compute one
+        got = outcome(sv.read_frame_csv, io.StringIO(text))
+        assert got == outcome(oracle_frame, io.StringIO(text))
+        assert got[:2] == (("error", message) if message else ("frame", dt.date(9999, 12, 30)))
+
+    def test_describe_past_the_last_date_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "f.csv"
+        path.write_text("date,a\n9999-12-31,1\n9999-12-30,2\n")
+        assert main(["describe", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "no date follows 9999-12-31" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("date", ["20190201", "2019-02"])
     def test_dates_numpy_reads_otherwise(self, date):

@@ -14,9 +14,10 @@ from sleepvar.errors import (
     NumericError,
     SingularDesignError,
 )
-from sleepvar.var import _criteria, _map_singular_column
+from sleepvar._util import packed
+from sleepvar.var import _criteria, _map_singular_column, stack_params
 
-from conftest import VAR2_SPEC, make_frame
+from conftest import VAR2_SPEC, make_frame, v1_model_text
 from test_linalg import gauss_solve
 
 
@@ -31,6 +32,26 @@ def scalar_ar_ols(series, p):
     xtx = [[sum(r[i] * r[j] for r in rows) for j in range(m)] for i in range(m)]
     xty = [sum(r[i] * t for r, t in zip(rows, targets)) for i in range(m)]
     return gauss_solve(xtx, xty)
+
+
+def per_equation_ols(values, p):
+    """Coefficients and standard errors of a VAR(p), each (K*p+1, K) in the
+    stacked layout: one ``np.linalg.lstsq`` per equation on a design built
+    row by row, and SEs sqrt(sigma_ii diag((X'X)^-1)) with sigma_ii =
+    u_i'u_i / (t_eff - K*p - 1) (Lutkepohl 2005, 3.2)."""
+    t_total, k = values.shape
+    x = np.array([[1.0] + [values[t - lag, j] for lag in range(1, p + 1) for j in range(k)]
+                  for t in range(p, t_total)])
+    xtx_inv = np.linalg.inv(x.T @ x)
+    dof = x.shape[0] - x.shape[1]
+    params, ses = [], []
+    for i in range(k):
+        y = values[p:, i]
+        b = np.linalg.lstsq(x, y, rcond=None)[0]
+        u = y - x @ b
+        params.append(b)
+        ses.append(np.sqrt(u @ u / dof * np.diag(xtx_inv)))
+    return np.array(params).T, np.array(ses).T
 
 
 def per_lag_criteria(values, max_lags):
@@ -113,6 +134,18 @@ class TestFitVar:
             oracle = scalar_ar_ols(series, p)
             mine = [fit.intercept[0]] + [fit.coef[lag, 0, 0] for lag in range(p)]
             assert np.abs(np.array(mine) - oracle).max() < 1e-10
+
+    @pytest.mark.parametrize("case", ["dataset-p0", "dataset-p1", "dataset-p2", "dataset-p3",
+                                      "var2-p2"])
+    def test_matches_per_equation_lstsq(self, case, dataset_frame):
+        # the coefficients and the standard errors VarFit derives, against an
+        # oracle that shares no code with fit_var
+        source, p = case.split("-p")
+        frame = dataset_frame if source == "dataset" else sv.simulate_var(VAR2_SPEC, 400, seed=2)
+        fit = sv.fit_var(frame, int(p))
+        params, ses = per_equation_ols(np.asarray(frame.values), int(p))
+        assert np.allclose(fit.params_matrix(), params, rtol=1e-9, atol=1e-12)
+        assert np.allclose(stack_params(fit.intercept_se, fit.coef_se), ses, rtol=1e-9, atol=0.0)
 
     def test_deterministic(self):
         frame = sv.simulate_var(VAR2_SPEC, 300, seed=5)
@@ -317,7 +350,7 @@ class TestPersistence:
         buf = io.StringIO()
         sv.save_model(fit, buf)
         doc = json.loads(buf.getvalue())
-        doc["version"] = 2
+        doc["version"] = 3
         with pytest.raises(ModelFormatError, match="version"):
             sv.load_model(io.StringIO(json.dumps(doc)))
 
@@ -353,3 +386,50 @@ class TestPersistence:
         sv.save_model(fit, buf)
         again = sv.load_model(io.StringIO(buf.getvalue()))
         assert again.p == 0 and again.coef.shape == (0, 2, 2)
+
+    def test_document_holds_the_estimate(self, dataset_fit):
+        buf = io.StringIO()
+        sv.save_model(dataset_fit, buf)
+        doc = json.loads(buf.getvalue())
+        assert list(doc) == ["version", "var_names", "p", "t_eff", "intercept", "coef",
+                             "residuals", "normal_matrix_inverse"]
+        assert doc["version"] == 2
+        assert doc["residuals"] == packed(dataset_fit.residuals)
+        assert doc["residuals"]["shape"] == [dataset_fit.t_eff, 5]
+        assert doc["coef"] == dataset_fit.coef.tolist()
+
+    def test_version1_document_loads(self, dataset_fit):
+        doc = json.loads(v1_model_text(dataset_fit))
+        doc["sigma_u"][0][1] += 1.0  # derived fields of a version-1 document are not read
+        doc["coef_p"] = "ignored"
+        again = sv.load_model(io.StringIO(json.dumps(doc)))
+        for name in ("intercept", "coef", "sigma_u", "sigma_u_ml", "intercept_se",
+                     "intercept_t", "intercept_p", "coef_se", "coef_t", "coef_p",
+                     "residuals", "normal_matrix_inverse"):
+            assert np.array_equal(getattr(again, name), getattr(dataset_fit, name)), name
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: {**r, "float64le": packed(np.zeros((1452, 5)))["float64le"]},
+         r"holds 58080 bytes, shape \(1453, 5\) needs 58120"),
+        (lambda r: {**r, "float64le": r["float64le"] + "AAAA"}, "not valid base64"),
+        (lambda r: {**r, "float64le": "\n" + r["float64le"]}, "not valid base64"),
+        (lambda r: {**r, "float64le": r["float64le"].replace("A", "*", 1)}, "not valid base64"),
+        (lambda r: {**r, "float64le": 7}, "float64le must be a base64 string"),
+        (lambda r: {**r, "shape": [-1, 5]}, "shape entry must be a non-negative integer, got -1"),
+        (lambda r: {**r, "shape": [5, 1453]}, r"must have shape \(1453, 5\), got \(5, 1453\)"),
+        (lambda r: {**r, "shape": [1453, 5, 1]}, "must have shape"),
+        (lambda r: {**r, "shape": "1453,5"}, "shape must be a list of counts"),
+        (lambda r: {"shape": r["shape"]}, "must be an array of numbers or hold"),
+        (lambda r: {**r, "dtype": "f8"}, "must be an array of numbers or hold"),
+        (lambda r: packed(np.full((1453, 5), np.nan)), "contains non-finite entries"),
+        (lambda r: packed(np.full((1453, 5), -np.inf)), "contains non-finite entries"),
+    ], ids=["short", "padding-inside", "newline", "bad-alphabet", "not-text", "negative-shape",
+            "transposed-shape", "3d-shape", "shape-text", "no-data", "extra-key", "nan", "-inf"])
+    def test_packed_residuals_checked(self, dataset_fit, edit, message):
+        buf = io.StringIO()
+        sv.save_model(dataset_fit, buf)
+        doc = json.loads(buf.getvalue())
+        doc["residuals"] = edit(doc["residuals"])
+        with pytest.raises(ModelFormatError,
+                           match=f"corrupted model document: residuals.*{message}"):
+            sv.load_model(io.StringIO(json.dumps(doc)))
