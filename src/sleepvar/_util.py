@@ -1,5 +1,5 @@
-"""Small shared helpers: immutable arrays, whole-document text I/O, the JSON
-document reader and its field rules, the normal CDF."""
+"""Small shared helpers: immutable arrays, whole-document text I/O, the CSV
+writer, the JSON document reader and its field rules, the normal CDF."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import json
 import math
 import numbers
 import os
+import re
 import stat
 from typing import IO, Callable, Sequence, TypeVar, Union
 
@@ -19,6 +20,7 @@ from .errors import DataError, ModelFormatError
 TextSource = Union[str, os.PathLike, IO[str]]
 T = TypeVar("T")
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]')  # csv.writer quotes a field holding one of these
 SCHEMA_VERSION = 2          # the version save_model writes
 READABLE_VERSIONS = (1, 2)  # the versions model and process documents are read in
 
@@ -137,6 +139,24 @@ def load_document(
         return build(doc)
     except (TypeError, ValueError, DataError) as exc:
         raise ModelFormatError(f"corrupted {what} document: {exc}")
+
+
+def _text_field(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+
+
+def csv_text(header: Sequence[str], columns: Sequence[Sequence],
+             cell: Callable[[object], str] = lambda v: "" if v != v else str(v)) -> str:
+    """A CSV document: the ``header`` row, then row i of the equal-length ``columns``.
+
+    A column of ``str`` is text: its cells, like the header's, are quoted as
+    ``csv.writer`` quotes them, so ``csv.reader`` reads them back.  Every other
+    cell is written as ``cell(value)``: by default empty for NaN, else ``str``
+    (a float's shortest round-trip repr).  Every line ends in LF.
+    """
+    fields = [list(map(_text_field if column and isinstance(column[0], str) else cell, column))
+              for column in columns]
+    return "\n".join([",".join(map(_text_field, header)), *map(",".join, zip(*fields)), ""])
 
 
 def read_text(source: TextSource) -> str:

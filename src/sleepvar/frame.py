@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import TextSource, checked_names, freeze, read_text, write_text
+from ._util import TextSource, checked_names, csv_text, freeze, read_text, write_text
 from .errors import DataError
 
 SLEEP_SCORE_RANGE = (1.0, 100.0)
@@ -392,11 +392,8 @@ def write_frame_csv(frame: SeriesFrame, sink: TextSource) -> None:
     """Write ``date,<name1>,...,<nameK>`` rows; missing cells are empty."""
     first = np.datetime64(frame.start_date, "D")
     days = np.arange(first, first + frame.n_obs).astype(str).tolist()
-    cell = functools.cache(_format_cell)
-    lines = ["date," + ",".join(frame.names)]
-    lines += [day + "," + ",".join(map(cell, row)) for day, row in zip(days, frame.values.tolist())]
-    lines.append("")
-    write_text(sink, "\n".join(lines))
+    write_text(sink, csv_text(["date", *frame.names], [days, *frame.values.T.tolist()],
+                              functools.cache(_format_cell)))
 
 
 def read_frame_csv(source: TextSource) -> SeriesFrame:

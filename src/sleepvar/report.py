@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._util import csv_text
 from .frame import SummaryStats
 from .inference import GrangerResult
 from .irf import IrfResult
@@ -135,39 +136,31 @@ def decomposition_dict(observed: np.ndarray, dec: Decomposition) -> dict:
 
 
 def pacf_dict(res: PacfResult) -> dict:
-    return {"values": [float(v) for v in res.values], "band": float(res.band)}
+    return {"values": res.values.tolist(), "band": float(res.band)}
 
 
 def decomposition_csv(observed: np.ndarray, dec: Decomposition) -> str:
-    def cell(v: float) -> str:
-        return "" if np.isnan(v) else repr(float(v))
-
-    lines = ["index,observed,trend,seasonal,residual"]
-    for i in range(observed.size):
-        lines.append(
-            f"{i},{cell(observed[i])},{cell(dec.trend[i])},"
-            f"{cell(dec.seasonal[i])},{cell(dec.residual[i])}"
-        )
-    return "\n".join(lines) + "\n"
+    columns = [observed, dec.trend, dec.seasonal, dec.residual]
+    return csv_text(["index", "observed", "trend", "seasonal", "residual"],
+                    [list(range(observed.size)), *(c.tolist() for c in columns)])
 
 
 def pacf_csv(res: PacfResult) -> str:
-    lines = ["lag,pacf,band"]
-    for lag, v in enumerate(res.values):
-        lines.append(f"{lag},{float(v)!r},{float(res.band)!r}")
-    return "\n".join(lines) + "\n"
+    n = res.values.size
+    return csv_text(["lag", "pacf", "band"],
+                    [list(range(n)), res.values.tolist(), [float(res.band)] * n])
 
 
 def irf_csv(res: IrfResult) -> str:
-    lines = ["horizon,impulse,response,estimate,lower,upper"]
-    for h in range(res.horizon + 1):
-        for j, impulse in enumerate(res.var_names):
-            for i, response in enumerate(res.var_names):
-                lines.append(
-                    f"{h},{impulse},{response},{float(res.responses[h, i, j])!r},"
-                    f"{float(res.lower[h, i, j])!r},{float(res.upper[h, i, j])!r}"
-                )
-    return "\n".join(lines) + "\n"
+    """Rows by horizon h, then impulse j, then response i: responses[h, i, j]."""
+    names, steps, k = res.var_names, res.horizon + 1, len(res.var_names)
+    columns = [
+        [h for h in range(steps) for _ in range(k * k)],
+        [name for name in names for _ in range(k)] * steps,
+        names * (k * steps),
+        *(a.transpose(0, 2, 1).reshape(-1).tolist() for a in (res.responses, res.lower, res.upper)),
+    ]
+    return csv_text(["horizon", "impulse", "response", "estimate", "lower", "upper"], columns)
 
 
 def irf_dict(res: IrfResult) -> dict:

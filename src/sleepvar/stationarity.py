@@ -11,7 +11,9 @@ Conventions worth spelling out once:
   at the chosen order on all usable rows.  Each of the two steps is one QR
   of an augmented matrix [X | dy] (:mod:`sleepvar.linalg`), with no SVD:
   the search reads every order's residual sum of squares from one R
-  factor, and the final t-ratio is read from the other.
+  factor, and the final t-ratio is read from the other.  Both matrices
+  come from :mod:`sleepvar.var`'s lagged-design builder: the K = 1 design
+  of dy, with the trend and level columns after the constant.
 * A degenerate regression, where the level y_{t-1} lies in the span of the
   other regressors or dy is fitted exactly (a deterministic ramp), carries
   no evidence either way and reports a statistic of 0.
@@ -29,6 +31,7 @@ import numpy as np
 from . import mackinnon
 from .errors import DataError, NumericError
 from .linalg import RANK_RTOL, augmented_r, deficient_columns
+from .var import _lagged_design
 
 ADF_MIN_OBS = 15
 REGRESSIONS = mackinnon.REGRESSIONS  # ("constant", "constant_and_trend")
@@ -91,22 +94,11 @@ def _clean_series(series, min_len: int) -> np.ndarray:
     return y
 
 
-def _adf_design(y: np.ndarray, k: int, ntrend: int):
-    """Regression pieces for augmentation order k.
-
-    Rows are t = k+1 .. T-1.  Columns: constant, (trend,) level y_{t-1},
-    then lagged differences dy_{t-1} .. dy_{t-k}.
-    """
-    t_total = y.size
-    dy = np.diff(y)
-    n = t_total - 1 - k
-    cols = [np.ones(n)]
-    if ntrend == 2:
-        cols.append(np.arange(1.0, n + 1.0))
-    cols.append(y[k : t_total - 1])
-    for j in range(1, k + 1):
-        cols.append(dy[k - j : t_total - 1 - j])
-    return np.column_stack(cols), dy[k:]
+def _adf_augmented(y: np.ndarray, k: int, ntrend: int) -> np.ndarray:
+    """[1, (t,) y_{t-1}, dy_{t-1} .. dy_{t-k} | dy_t] for t = k+1 .. T-1: the
+    K = 1 lagged design of dy, with the trend and level columns after the constant."""
+    trend = (np.arange(1.0, y.size - k),) if ntrend == 2 else ()
+    return _lagged_design(np.diff(y)[:, None], k, lead=(*trend, y[k:-1]))
 
 
 def adf_test(series, regression: str = "constant", max_lag: int | None = None) -> AdfResult:
@@ -137,19 +129,19 @@ def adf_test(series, regression: str = "constant", max_lag: int | None = None) -
         raise DataError(f"series too short for an ADF regression with {regression!r} terms")
 
     # Augmentation order by AIC on the common sample trimmed at max_lag: one
-    # QR of [x_full | target], whose last column below row base+k holds the
+    # QR of [X | dy], whose last column below row base+k holds the
     # residual of the order-k regression.  Only the orders whose lag columns
     # all pass the rank rule compete: the Householder reflector of a
     # collinear column is built on rounding residue and removes a random
     # direction from the target.  The SSR floor, relative to the target's
     # own size, makes exact fits tie instead of ranking rounding noise.
-    x_full, target = _adf_design(y, max_lag, ntrend)
-    n, m_full = x_full.shape
+    augmented = _adf_augmented(y, max_lag, ntrend)
+    n, m_full = augmented.shape[0], augmented.shape[1] - 1
     base = ntrend + 1
-    r = augmented_r(np.column_stack([x_full, target]), m_full)
+    r = augmented_r(augmented, m_full)
     orders = 1 + int(np.cumprod(~deficient_columns(r, m_full)[base:]).sum())
     ssr = np.cumsum(r[::-1, -1] ** 2)[::-1][base : base + orders]
-    floor = max((RANK_RTOL * np.linalg.norm(target)) ** 2, np.finfo(float).tiny)
+    floor = max((RANK_RTOL * np.linalg.norm(augmented[:, m_full])) ** 2, np.finfo(float).tiny)
     aic = n * np.log(np.maximum(ssr, floor) / n) + 2.0 * (base + np.arange(orders))
     used_lag = int(np.argmin(aic))
 
@@ -159,16 +151,15 @@ def adf_test(series, regression: str = "constant", max_lag: int | None = None) -
     # beta / se = sign(R[m-1, m-1]) R[m-1, m] sqrt(dof) / |R[m, m]| is read
     # off R.  A level inside that span, or a target fitted exactly, leaves
     # no unit-root evidence either way: the statistic is 0.
-    x, target = _adf_design(y, used_lag, ntrend)
-    n_obs, m = x.shape
+    augmented = _adf_augmented(y, used_lag, ntrend)
+    n_obs, m = augmented.shape[0], augmented.shape[1] - 1
     dof = n_obs - m
     if dof < 1:
         raise DataError("series too short for the selected augmentation order")
     level = ntrend  # index of the y_{t-1} column
-    order = [*range(level), *range(level + 1, m), level]
-    r = augmented_r(np.column_stack([x[:, order], target]), m)
+    r = augmented_r(augmented[:, [*range(level), *range(level + 1, m), level, m]], m)
     resid_norm = abs(r[m, m])
-    if deficient_columns(r, m)[-1] or resid_norm <= RANK_RTOL * np.linalg.norm(target):
+    if deficient_columns(r, m)[-1] or resid_norm <= RANK_RTOL * np.linalg.norm(augmented[:, m]):
         statistic = 0.0
     else:
         statistic = float(np.sign(r[m - 1, m - 1]) * r[m - 1, m] * np.sqrt(dof) / resid_norm)

@@ -181,27 +181,26 @@ def _values_or_raise(frame: SeriesFrame) -> np.ndarray:
     return np.asarray(frame.values)
 
 
-def _lagged_design(values: np.ndarray, p: int, with_targets: bool = False):
-    """Design/targets using rows p..T-1 as regression targets.
+def _lagged_design(values: np.ndarray, p: int, lead=()) -> np.ndarray:
+    """The augmented least-squares matrix [1, lead..., Y_{t-1}, ..., Y_{t-p} | Y_t].
 
     ``values`` is (..., T, K); leading axes stack independent series (the
-    bootstrap paths), each getting its own (..., T-p, K*p+1) design.
-    Each design is stored column by column (Fortran order), the layout
-    LAPACK factors, so the lag copies run along whole columns however small
-    K is.  ``with_targets`` returns the augmented [design | targets] as one
-    array instead of the pair.
+    bootstrap paths), each getting its own (..., T-p, 1+len(lead)+K*p+K)
+    matrix over the targets t = p..T-1.  ``lead`` holds extra regressors of
+    length T-p, placed after the constant; then comes one block of K
+    columns per lag.  The matrix is stored column by column (Fortran
+    order), the layout LAPACK factors, so the lag copies run along whole
+    columns however small K is.
     """
     *batch, t_total, k = values.shape
-    n = t_total - p
-    m = k * p + 1
-    design = np.empty((*batch, m + k if with_targets else m, n)).swapaxes(-1, -2)
-    design[..., 0] = 1.0
-    for lag in range(1, p + 1):
-        design[..., 1 + (lag - 1) * k : 1 + lag * k] = values[..., p - lag : t_total - lag, :]
-    if with_targets:
-        design[..., m:] = values[..., p:, :]
-        return design
-    return design, values[..., p:, :]
+    m = 1 + len(lead) + k * p
+    augmented = np.empty((*batch, m + k, t_total - p)).swapaxes(-1, -2)
+    for j, column in enumerate((1.0, *lead)):
+        augmented[..., j] = column
+    for lag, start in enumerate(range(1 + len(lead), m, k), 1):
+        augmented[..., start : start + k] = values[..., p - lag : t_total - lag, :]
+    augmented[..., m:] = values[..., p:, :]
+    return augmented
 
 
 def build_lagged_design(frame: SeriesFrame, p: int):
@@ -217,7 +216,9 @@ def build_lagged_design(frame: SeriesFrame, p: int):
         raise DataError(
             f"not enough observations: T={values.shape[0]} leaves no rows at lag {p}"
         )
-    return _lagged_design(values, p)
+    k = values.shape[1]
+    augmented = _lagged_design(values, p)
+    return augmented[:, :-k], augmented[:, -k:]
 
 
 def _map_singular_column(exc: SingularDesignError, names) -> SingularDesignError:
@@ -264,8 +265,6 @@ def _criteria(sigma_ml: np.ndarray, t_star: int, k: int, p: int) -> tuple[float,
         ) from None
     m = p * k * k + k
     regressors = k * p + 1
-    if t_star - regressors <= 0:
-        raise DataError(f"not enough observations for criteria at lag {p}")
     fpe = ((t_star + regressors) / (t_star - regressors)) ** k * math.exp(ld)
     return (
         ld + 2.0 * m / t_star,
@@ -299,7 +298,7 @@ def select_order(frame: SeriesFrame, max_lags: int, override: int | None = None)
     # One QR of [X | Y] at max_lags: the lag-p design is the first 1 + K*p
     # columns of X, so its residual cross-product is R[1+K*p:, m:]' R[1+K*p:, m:].
     m = 1 + k * max_lags
-    r = augmented_r(_lagged_design(values, max_lags, with_targets=True), m)
+    r = augmented_r(_lagged_design(values, max_lags), m)
     table = np.empty((max_lags + 1, len(CRITERIA)))
     for p in range(max_lags + 1):
         width = 1 + k * p

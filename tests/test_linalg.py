@@ -105,7 +105,7 @@ class TestSolveLeastSquares:
 
 
 def augmented_stack(paths: np.ndarray, p: int) -> np.ndarray:
-    return _lagged_design(paths, p, with_targets=True)
+    return _lagged_design(paths, p)
 
 
 class TestSolveStackedLeastSquares:
@@ -117,7 +117,8 @@ class TestSolveStackedLeastSquares:
         solved = solve_stacked_least_squares(augmented_stack(paths, p), m)
         assert solved.failures == {}
         for c in range(paths.shape[0]):
-            design, targets = _lagged_design(paths[c], p)
+            augmented = _lagged_design(paths[c], p)
+            design, targets = augmented[:, :m], augmented[:, m:]
             coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
             resid = targets - design @ coef
             assert np.abs(solved.coefficients[c] - coef).max() <= 1e-12

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import sleepvar as sv
 from sleepvar.errors import DataError
 from sleepvar.simulate import substream
+from sleepvar.stationarity import _adf_augmented
 
 
 def ar1_sample(phi: float, t: int, seed: int, mean: float = 0.0) -> np.ndarray:
@@ -58,6 +59,42 @@ def adf_ols_oracle(y, regression, max_lag):
     level = base - 1
     se = np.sqrt(sigma2 * np.linalg.inv(x.T @ x)[level, level])
     return beta[level] / se, used_lag
+
+
+def adf_design_oracle(y, k, ntrend):
+    """The column-by-column ADF design the shared lagged-design builder replaced.
+
+    Rows are t = k+1 .. T-1.  Columns: constant, (trend,) level y_{t-1},
+    then lagged differences dy_{t-1} .. dy_{t-k}; the target is dy_t.
+    """
+    t_total = y.size
+    dy = np.diff(y)
+    n = t_total - 1 - k
+    cols = [np.ones(n)]
+    if ntrend == 2:
+        cols.append(np.arange(1.0, n + 1.0))
+    cols.append(y[k : t_total - 1])
+    for j in range(1, k + 1):
+        cols.append(dy[k - j : t_total - 1 - j])
+    return np.column_stack(cols), dy[k:]
+
+
+class TestAdfMatrices:
+    @pytest.mark.parametrize("ntrend", [1, 2])
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 12])
+    def test_builder_matches_column_stack(self, ntrend, k):
+        series = (sv.random_walk(80, seed=k) + 10.0, np.arange(1.0, 41.0), np.tile([1.0, 2.0, 4.0], 9))
+        for y in series:
+            x, target = adf_design_oracle(y, k, ntrend)
+            m = x.shape[1]
+            augmented = _adf_augmented(y, k, ntrend)
+            assert augmented.flags.f_contiguous
+            assert np.array_equal(augmented, np.column_stack([x, target]))
+            # The final regression's matrix: the level column moved last, as adf_test orders it.
+            order = [*range(ntrend), *range(ntrend + 1, m), ntrend]
+            level_last = augmented[:, [*order, m]]
+            assert level_last.flags.f_contiguous
+            assert np.array_equal(level_last, np.column_stack([x[:, order], target]))
 
 
 class TestAdf:

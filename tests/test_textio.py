@@ -1,14 +1,18 @@
-"""Text I/O: the column parsers against a row-loop oracle, and the file writer.
+"""Text I/O: the column parsers and the CSV writer against row-loop oracles,
+and the file writer.
 
 The oracles below are the row-by-row parsers the column parsers replaced,
 kept as the reference: one ``csv.reader`` record at a time, one
 ``date.fromisoformat``/``int``/``float`` per cell.  Every generated input
 must give the same frame, bit for bit, or the same ``DataError`` message.
+The row-loop writers the one CSV writer replaced are kept the same way:
+every document must keep its bytes.
 """
 
 import csv
 import datetime as dt
 import io
+import json
 import math
 import os
 import stat
@@ -20,9 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sleepvar as sv
-from sleepvar._util import write_text
+from sleepvar import report
+from sleepvar._util import csv_text, write_text
 from sleepvar.cli import main
 from sleepvar.errors import DataError
+from sleepvar.simulate import substream
 
 from conftest import DATA_DIR
 
@@ -174,6 +180,38 @@ def oracle_write(frame):
     for i, day in enumerate(frame.dates()):
         fh.write(f"{day.isoformat()},{','.join(cell(v) for v in frame.values[i])}\n")
     return fh.getvalue()
+
+
+def oracle_decomposition_csv(observed, dec):
+    def cell(v: float) -> str:
+        return "" if np.isnan(v) else repr(float(v))
+
+    lines = ["index,observed,trend,seasonal,residual"]
+    for i in range(observed.size):
+        lines.append(
+            f"{i},{cell(observed[i])},{cell(dec.trend[i])},"
+            f"{cell(dec.seasonal[i])},{cell(dec.residual[i])}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def oracle_pacf_csv(res):
+    lines = ["lag,pacf,band"]
+    for lag, v in enumerate(res.values):
+        lines.append(f"{lag},{float(v)!r},{float(res.band)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_irf_csv(res):
+    lines = ["horizon,impulse,response,estimate,lower,upper"]
+    for h in range(res.horizon + 1):
+        for j, impulse in enumerate(res.var_names):
+            for i, response in enumerate(res.var_names):
+                lines.append(
+                    f"{h},{impulse},{response},{float(res.responses[h, i, j])!r},"
+                    f"{float(res.lower[h, i, j])!r},{float(res.upper[h, i, j])!r}"
+                )
+    return "\n".join(lines) + "\n"
 
 
 # --- Generated inputs ----------------------------------------------------------
@@ -412,6 +450,67 @@ class TestFrameWriterMatchesRowLoop:
         buf = io.StringIO()
         sv.write_frame_csv(frame, buf)
         assert buf.getvalue() == oracle_write(frame)
+
+
+ODD_FLOATS = [0.0, -0.0, 1.0, -3.0, 0.1, 1 / 3, 1e-300, 5e-324, 1e15, 1e16, -1.5e300]
+ODD_NAMES = ("a,b", 'c"d', "e\r\nf")
+
+
+def irf_result(names, horizon=10, seed=0):
+    gen = substream(seed, 0)
+    shape = (horizon + 1, len(names), len(names))
+    arrays = [gen.standard_normal(shape) * 10.0 ** gen.integers(-300, 300, shape) for _ in range(3)]
+    arrays[0].flat[: len(ODD_FLOATS)] = ODD_FLOATS[: arrays[0].size]
+    return sv.IrfResult(horizon=horizon, responses=arrays[0], lower=arrays[1], upper=arrays[2],
+                        orthogonalized=True, level=0.95, replications=100, seed=seed,
+                        var_names=tuple(names))
+
+
+class TestReportWritersMatchRowLoop:
+    @pytest.mark.parametrize("period", [6, 7])
+    def test_decomposition(self, dataset_frame, period):
+        series = [dataset_frame.column("score"), np.array(ODD_FLOATS * 2),
+                  substream(period, 0).standard_normal(50) * 1e3]
+        for y in series:
+            dec = sv.classical_decompose(y, period)
+            assert np.isnan(dec.trend[[0, -1]]).all()
+            assert report.decomposition_csv(y, dec) == oracle_decomposition_csv(y, dec)
+
+    def test_pacf(self, dataset_frame):
+        res = sv.pacf(dataset_frame.column("score"), 40)
+        assert report.pacf_csv(res) == oracle_pacf_csv(res)
+
+    @pytest.mark.parametrize("names", [("score",), sv.MOOD_VARIABLES + ("score",)])
+    def test_irf(self, names):
+        res = irf_result(names, seed=len(names))
+        assert report.irf_csv(res) == oracle_irf_csv(res)
+
+
+class TestTextCellsQuoted:
+    @given(st.lists(st.one_of(st.text(min_size=1), st.text(',"\r\n a', min_size=1)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_header_as_csv_writer_writes_it(self, header):
+        buf = io.StringIO()
+        csv.writer(buf).writerow(header)
+        text = csv_text(header, [[] for _ in header])
+        assert text == buf.getvalue()[: -len("\r\n")] + "\n"
+        assert next(csv.reader(io.StringIO(text))) == header
+
+    def test_simulate_round_trip_keeps_names(self, tmp_path, capsys):
+        spec = {"var_names": list(ODD_NAMES), "p": 1, "intercept": [0, 0, 0],
+                "coef": [np.diag([0.5, 0.2, -0.3]).tolist()], "sigma_u": np.eye(3).tolist()}
+        (tmp_path / "s.json").write_text(json.dumps(spec))
+        sim = tmp_path / "sim.csv"
+        assert main(["simulate", "--spec", str(tmp_path / "s.json"), "--t", "3", "-o", str(sim)]) == 0
+        assert sv.read_frame_csv(sim).names == ODD_NAMES
+        assert main(["describe", str(sim)]) == 0
+
+    def test_irf_rows_split_into_six_fields(self):
+        rows = list(csv.reader(io.StringIO(report.irf_csv(irf_result(ODD_NAMES, horizon=2)))))
+        assert len(rows) == 1 + 3 * 3 * 3
+        assert all(len(row) == 6 for row in rows)
+        assert [row[1:3] for row in rows[1:10]] == [[a, b] for a in ODD_NAMES for b in ODD_NAMES]
 
 
 # --- The writer ------------------------------------------------------------------
