@@ -90,7 +90,7 @@ def _cmd_describe(args) -> int:
         args,
         {name: fr.describe(frame, name) for name in names},
         lambda stats: "\n\n".join(
-            f"{name}\n{report.format_summary(s)}" for name, s in stats.items()
+            f"{report.printable(name)}\n{report.format_summary(s)}" for name, s in stats.items()
         ),
         lambda stats: {name: dataclasses.asdict(s) for name, s in stats.items()},
     )

@@ -17,8 +17,8 @@ class SingularDesignError(NumericError):
     """Regression design is rank deficient.
 
     ``column`` identifies the first column that is (numerically) a linear
-    combination of the columns before it.  Callers that know the column
-    naming re-raise with the offending name filled in.
+    combination of the columns before it: its design label where the
+    raiser knows the naming (the VAR fit and order search), else its index.
     """
 
     def __init__(self, message: str, column):

@@ -17,14 +17,16 @@ recursion, refits, MA recursion.  A block's shocks and paths take about
 :func:`~sleepvar.simulate.iterate_paths` in one time-major buffer.  Within a
 block the refits run in stacks of about :data:`REFIT_STACK_BYTES` of
 design: each stack's lagged designs come from the estimator's own builder,
-and one QR per augmented matrix [X | Y], made in one LAPACK call per
-stack, gives the coefficients and residual cross-products.  The MA
-recursion and the Cholesky orthogonalization then run over the whole
-stack.  Only the response draws the percentiles need are kept for every
-replication, so memory does not grow with the paths of all replications.
+and the estimator's own solver (:func:`~sleepvar.linalg.solve_augmented`,
+one LAPACK call per stack) gives the coefficients, residual
+cross-products and rank mask.  The MA recursion and the Cholesky
+orthogonalization then run over the whole stack.  Only the response draws
+the percentiles need are kept for every replication, so memory does not
+grow with the paths of all replications.
 A replication's results do not depend on the block or stack it lands in,
 nor on the BLAS thread count.  A rank-deficient or non-positive-definite
-refit is masked and counted in ``IrfResult.n_failed``.
+refit is masked and counted in ``IrfResult.n_failed``; a fit whose refits
+would keep no residual degree of freedom is rejected before any draw.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NotPositiveDefiniteError, NumericError
-from .linalg import cholesky_lower, solve_stacked_least_squares
+from .linalg import cholesky_lower, rank_message, solve_augmented
 from .simulate import DEFAULT_BURN_IN, iterate_paths, substream
 from .var import VarFit, _lagged_design
 
@@ -108,7 +110,7 @@ def _pivot_reason(cov: np.ndarray) -> str:
     """Why ``cov`` has no Cholesky factor, in :func:`cholesky_lower`'s words."""
     try:
         cholesky_lower(cov)
-    except (NotPositiveDefiniteError, ValueError) as exc:
+    except (NotPositiveDefiniteError, DataError) as exc:
         return str(exc)
     return "matrix is not positive definite"
 
@@ -144,9 +146,10 @@ def irf_with_bands(
 
     ``innovations`` selects the resampler: ``gaussian`` draws fresh shocks
     with the fitted residual covariance; ``empirical`` resamples centered
-    residual rows with replacement.  The fit must be stable and have at
-    least :data:`MIN_REPLICATIONS` replications; more than 1% failed refits
-    abort with diagnostics.
+    residual rows with replacement.  The fit must be stable and leave each
+    refit (t_eff - p rows) a residual degree of freedom, and there must be
+    at least :data:`MIN_REPLICATIONS` replications; more than 1% failed
+    refits abort with diagnostics.
     """
     if not 0.0 < level < 1.0:
         raise DataError(f"level must lie in (0, 1), got {level}")
@@ -156,6 +159,12 @@ def irf_with_bands(
         raise DataError(f"unknown innovation mode {innovations!r}; choose from {INNOVATION_MODES}")
     if fit.p < 1:
         raise DataError("impulse-response bands require a fitted lag order of at least 1")
+    k, p, t_eff = fit.n_vars, fit.p, fit.t_eff
+    m = k * p + 1
+    dof = t_eff - p - m  # a refit's residual degrees of freedom
+    if dof < 1:
+        raise DataError(f"not enough observations for bootstrap refits: t_eff={t_eff} "
+                        f"leaves {t_eff - p} rows at lag {p} for {m} regressors")
     radius = fit.stability_radius()
     if radius >= 1.0:
         raise NumericError(
@@ -165,10 +174,7 @@ def irf_with_bands(
 
     point = orthogonalized_irf(fit, horizon) if orthogonalized else ma_coefficients(fit, horizon)
 
-    k, p, t_eff = fit.n_vars, fit.p, fit.t_eff
     n_steps = DEFAULT_BURN_IN + t_eff
-    m = k * p + 1
-    dof = t_eff - p - m
     # the fewest blocks the budget allows, of near-equal size
     n_blocks = -(-replications // max(1, PATH_BLOCK_BYTES // ((2 * n_steps + p) * k * 8)))
     block = -(-replications // n_blocks)
@@ -198,10 +204,11 @@ def irf_with_bands(
         sample = iterate_paths(fit.intercept, fit.coef, shocks, mean)[:, DEFAULT_BURN_IN:]
         for start in range(0, b, stack):
             augmented = _lagged_design(sample[start : start + stack], p)
-            solved = solve_stacked_least_squares(augmented, m)
+            solved = solve_augmented(augmented, m)
             coef = solved.coefficients[:, 1:].reshape(-1, p, k, k).transpose(0, 1, 3, 2)
             phi = _ma_recursion(coef, horizon)
-            reasons = dict(solved.failures)
+            reasons = {int(c): rank_message(int(np.argmax(solved.deficient[c])))
+                       for c in np.flatnonzero(solved.deficient.any(axis=1))}
             if orthogonalized:
                 _orthogonalize(phi, solved.residual_cross / dof, reasons)
             at = first + start

@@ -1,21 +1,21 @@
 """Dense linear-algebra kernel backing the estimators.
 
-Matrices are plain 2-D float64 ``numpy.ndarray``s.  Every least-squares
-problem is one Householder QR (LAPACK, via numpy) of the augmented matrix
-[X | Y] in ``mode="r"``: no Q is formed, nothing goes through the normal
-equations or an SVD, and every answer is read from R =
+Every least-squares problem, one matrix or a stack of them, goes through
+:func:`solve_augmented`: one Householder QR (LAPACK, via numpy) of the
+augmented matrix [X | Y] in ``mode="r"``.  No Q is formed, nothing goes
+through the normal equations or an SVD, and every answer is read from R =
 [[R_xx, R_xy], [0, R_yy]] (Golub & Van Loan, *Matrix Computations*, 5.3):
 
 * coefficients solve R_xx B = R_xy;
 * the residual cross-product of Y on the first j columns of X is
   R[j:, m:]' R[j:, m:], so a nested order search (every column prefix)
   needs one factorization, not one per candidate;
-* ``(X'X)^-1`` is R_xx^-1 R_xx^-T.
+* ``(X'X)^-1`` is R_xx^-1 R_xx^-T;
+* small R diagonals mark rank-deficient columns, which callers raise or mask.
 
-Stacks of small problems (the bootstrap refits) are factored in one LAPACK
-call per stack.  Triangular solves use numpy's ``solve``, so only numpy's
-BLAS (and its one thread pool) is involved.  Everything here is pure and
-safe for concurrent use.
+A stack (the bootstrap refits) is factored in one LAPACK call.  Only
+numpy's BLAS (and its one thread pool) is involved.  Malformed input raises
+:class:`DataError`.  Everything here is pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, NotPositiveDefiniteError, SingularDesignError
+from .errors import ConvergenceError, DataError, NotPositiveDefiniteError, SingularDesignError
 
 # Relative tolerance below which an R diagonal marks the design rank deficient.
 RANK_RTOL = 1e-10
@@ -36,13 +36,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a finite 2-D float64 array."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
+        raise DataError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.size and not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise DataError(f"{name} contains non-finite entries")
     return arr
 
 
-def _rank_message(column: int) -> str:
+def rank_message(column: int) -> str:
     return f"design is rank deficient: column {column} is collinear with earlier columns"
 
 
@@ -52,10 +52,19 @@ class LeastSquares(NamedTuple):
     normal_matrix_inverse: np.ndarray  # (m, m)
 
 
-class StackedLeastSquares(NamedTuple):
-    coefficients: np.ndarray    # (C, m, q), zero where rank deficient
-    residual_cross: np.ndarray  # (C, q, q), residuals' cross-product
-    failures: dict[int, str]    # stack index -> rank-deficiency message
+class AugmentedSolve(NamedTuple):
+    """Everything :func:`solve_augmented` reads from R, for one matrix or a stack."""
+
+    r: np.ndarray               # (..., min(n, m+q), m+q)
+    coefficients: np.ndarray    # (..., m, q), zero where rank deficient
+    residual_cross: np.ndarray  # (..., q, q), residuals' cross-product
+    deficient: np.ndarray       # (..., m), columns failing the rank rule
+
+    def normal_matrix_inverse(self) -> np.ndarray:
+        """(X'X)^-1 = R_xx^-1 R_xx^-T of a full-rank design, shape (..., m, m)."""
+        m = self.deficient.shape[-1]
+        r_inv = np.linalg.solve(self.r[..., :m, :m], np.eye(m))
+        return r_inv @ np.swapaxes(r_inv, -1, -2)
 
 
 def deficient_columns(r: np.ndarray, m: int) -> np.ndarray:
@@ -69,85 +78,63 @@ def deficient_columns(r: np.ndarray, m: int) -> np.ndarray:
     return diag <= RANK_RTOL * diag.max(axis=-1, keepdims=True, initial=0.0)
 
 
-def check_rank(r: np.ndarray, m: int) -> None:
-    """Raise :class:`SingularDesignError` naming the first deficient column of R[:m, :m]."""
-    bad = np.flatnonzero(deficient_columns(r, m))
-    if bad.size:
-        col = int(bad[0])
-        raise SingularDesignError(_rank_message(col), column=col)
-
-
 def augmented_r(augmented, m: int) -> np.ndarray:
-    """R factor (no Q) of one augmented matrix [X | Y], X in the first ``m`` columns."""
-    a = as_matrix(augmented, "augmented matrix")
-    n, width = a.shape
+    """R factors (no Q) of augmented matrices [X | Y], shape (..., n, m+q),
+    X in the first ``m`` columns and leading axes stacking problems; n >= m."""
+    a = np.asarray(augmented, dtype=float)
+    if a.ndim < 2:
+        raise DataError(f"augmented matrix must be at least 2-D, got shape {a.shape}")
+    n, width = a.shape[-2:]
     if not 0 < m < width:
-        raise ValueError(f"design width {m} must lie in 1..{width - 1}")
+        raise DataError(f"design width {m} must lie in 1..{width - 1}")
     if n < m:
-        raise ValueError(f"underdetermined system: {n} rows < {m} columns")
+        raise DataError(f"underdetermined system: {n} rows < {m} columns")
+    if not np.isfinite(a).all():
+        raise DataError("augmented matrix contains non-finite entries")
     return np.linalg.qr(a, mode="r")
+
+
+def solve_augmented(augmented, m: int) -> AugmentedSolve:
+    """Least squares of Y on X for an augmented [X | Y] or a stack, one QR each.
+
+    A matrix whose R_xx fails the rank rule of :func:`deficient_columns` is
+    masked, not raised: ``deficient`` marks its columns and its coefficients
+    are zero.  Each matrix's results do not depend on the rest of the stack.
+    """
+    r = augmented_r(augmented, m)
+    deficient = deficient_columns(r, m)
+    bad = deficient.any(axis=-1)
+    # R_xx is upper triangular, so partial pivoting keeps its diagonal and
+    # numpy's solve is back substitution, on the one BLAS the package loads.
+    # A second library's BLAS would bring its own thread pool, contending
+    # with numpy's when the two alternate on small calls.
+    r_xx = r[..., :m, :m].copy()
+    r_xx[bad] = np.eye(m)  # keeps the solve defined; masked results are zeroed
+    coef = np.linalg.solve(r_xx, r[..., :m, m:])
+    coef[bad] = 0.0
+    r_yy = r[..., m:, m:]
+    return AugmentedSolve(r, coef, np.swapaxes(r_yy, -1, -2) @ r_yy, deficient)
 
 
 def solve_least_squares(design, targets) -> LeastSquares:
     """Minimize ``||targets - design @ B||_F`` over B for a full-rank design.
 
-    One QR of [design | targets].  Raises :class:`SingularDesignError` (with
-    the offending column index) when an R diagonal falls to ``RANK_RTOL``
-    times the largest or below.
+    One QR of [design | targets] through :func:`solve_augmented`.  Raises
+    :class:`SingularDesignError` (with the offending column index) when an R
+    diagonal falls to ``RANK_RTOL`` times the largest or below.
     """
-    x = as_matrix(design, "design")
-    y = as_matrix(targets, "targets")
-    n, m = x.shape
+    x, y = as_matrix(design, "design"), as_matrix(targets, "targets")
+    (n, m), q = x.shape, y.shape[1]
     if y.shape[0] != n:
-        raise ValueError(f"design has {n} rows but targets has {y.shape[0]}")
-    augmented = np.empty((m + y.shape[1], n)).T  # column-major, the layout LAPACK factors
-    augmented[:, :m] = x
-    augmented[:, m:] = y
-    r = augmented_r(augmented, m)
-    check_rank(r, m)
-    # R_xx is upper triangular, so partial pivoting keeps its diagonal and
-    # numpy's solve is back substitution, on the one BLAS the package loads.
-    # A second library's BLAS would bring its own thread pool, contending
-    # with numpy's when the two alternate on small calls.
-    r_xx = r[:m, :m]
-    coef = np.linalg.solve(r_xx, r[:m, m:])
-    r_inv = np.linalg.solve(r_xx, np.eye(m))
-    return LeastSquares(coef, y - x @ coef, r_inv @ r_inv.T)
-
-
-def solve_stacked_least_squares(augmented, m: int) -> StackedLeastSquares:
-    """Least squares for a stack of augmented matrices [X | Y], one QR each.
-
-    ``augmented`` has shape (C, n, m+q): design X in the first ``m``
-    columns, targets Y in the rest.  The coefficients solve R_xx B = R_xy
-    and the residual cross-product is R_yy' R_yy.  A replication whose R_xx
-    fails the rank rule of :func:`deficient_columns` is masked: it is named
-    in ``failures`` and does not abort the stack.  Each replication's
-    results do not depend on the others in the stack.
-    """
-    a = np.asarray(augmented, dtype=float)
-    if a.ndim != 3:
-        raise ValueError(f"augmented stack must be 3-D, got shape {a.shape}")
-    _, n, width = a.shape
-    if not 0 < m < width:
-        raise ValueError(f"design width {m} must lie in 1..{width - 1}")
-    if n < width:
-        raise ValueError(f"underdetermined system: {n} rows < {width} augmented columns")
-    if not np.isfinite(a).all():
-        raise ValueError("augmented stack contains non-finite entries")
-
-    r = np.linalg.qr(a, mode="r")
-    deficient = deficient_columns(r, m)
-    bad = np.flatnonzero(deficient.any(axis=1))
-    failures = {int(i): _rank_message(int(np.argmax(deficient[i]))) for i in bad}
-
-    r_xx = r[:, :m, :m].copy()
-    r_xx[bad] = np.eye(m)  # keeps the solve defined; masked results are zeroed
-    coef = np.linalg.solve(r_xx, r[:, :m, m:])
-    coef[bad] = 0.0
-    r_yy = r[:, m:, m:]
-    cross = np.swapaxes(r_yy, 1, 2) @ r_yy
-    return StackedLeastSquares(coef, cross, failures)
+        raise DataError(f"design has {n} rows but targets has {y.shape[0]}")
+    augmented = np.empty((m + q, n)).T  # column-major, the layout LAPACK factors
+    augmented[:, :m], augmented[:, m:] = x, y
+    solved = solve_augmented(augmented, m)
+    if solved.deficient.any():
+        col = int(np.argmax(solved.deficient))
+        raise SingularDesignError(rank_message(col), column=col)
+    coef = solved.coefficients
+    return LeastSquares(coef, y - x @ coef, solved.normal_matrix_inverse())
 
 
 def is_symmetric(a: np.ndarray) -> bool:
@@ -161,9 +148,9 @@ def cholesky_lower(m) -> np.ndarray:
     a = as_matrix(m)
     k = a.shape[0]
     if a.shape[1] != k:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+        raise DataError(f"matrix must be square, got shape {a.shape}")
     if not is_symmetric(a):
-        raise ValueError("matrix is not symmetric within tolerance")
+        raise DataError("matrix is not symmetric within tolerance")
 
     low = np.zeros((k, k))
     for j in range(k):
@@ -187,7 +174,7 @@ def spectral_radius(m) -> float:
     """Largest eigenvalue modulus of a square matrix (0.0 for an empty one)."""
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+        raise DataError(f"matrix must be square, got shape {a.shape}")
     if a.shape[0] == 0:
         return 0.0
     try:
@@ -205,7 +192,7 @@ def companion_matrix(coef: np.ndarray) -> np.ndarray:
     """
     coef = np.asarray(coef, dtype=float)
     if coef.ndim != 3 or coef.shape[1] != coef.shape[2]:
-        raise ValueError(f"lag stack must have shape (p, K, K), got {coef.shape}")
+        raise DataError(f"lag stack must have shape (p, K, K), got {coef.shape}")
     p, k = coef.shape[0], coef.shape[1]
     comp = np.zeros((k * p, k * p))
     if p == 0:

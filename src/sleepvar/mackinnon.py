@@ -19,6 +19,7 @@ number of regression observations.
 from __future__ import annotations
 
 from ._util import norm_cdf
+from .errors import DataError
 
 _SURFACES = {
     "constant": {
@@ -54,7 +55,7 @@ def _surface(regression: str) -> dict:
     try:
         return _SURFACES[regression]
     except KeyError:
-        raise ValueError(
+        raise DataError(
             f"unknown regression {regression!r}; choose from {REGRESSIONS}"
         ) from None
 
@@ -81,7 +82,7 @@ def approx_p_value(statistic: float, regression: str) -> float:
 def critical_values(regression: str, n_obs: int) -> dict[str, float]:
     """Finite-sample 1%/5%/10% critical values for ``n_obs`` regression rows."""
     if n_obs < 1:
-        raise ValueError(f"n_obs must be positive, got {n_obs}")
+        raise DataError(f"n_obs must be positive, got {n_obs}")
     s = _surface(regression)
     inv = 1.0 / float(n_obs)
     return {level: _polyval(b, inv) for level, b in s["crit"].items()}

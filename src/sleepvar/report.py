@@ -21,6 +21,12 @@ from .stationarity import AdfResult, Decomposition, PacfResult
 from .var import CRITERIA, OrderSelection, VarFit, stack_params
 
 
+def printable(name: str) -> str:
+    """``name`` as a text table prints it: each non-printable character (CR,
+    LF, tab and other controls) as its Python escape, so no name splits a row."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in name)
+
+
 def _table(rows: list[list[str]], align: str = "r", pad: int = 2) -> str:
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
     out = []
@@ -83,7 +89,7 @@ def order_selection_dict(sel: OrderSelection) -> dict:
 
 
 def format_fit_report(fit: VarFit) -> str:
-    labels = fit.lag_labels()
+    labels = [printable(label) for label in fit.lag_labels()]
     params = fit.params_matrix()
     se = stack_params(fit.intercept_se, fit.coef_se)
     tt = stack_params(fit.intercept_t, fit.coef_t)
@@ -104,7 +110,7 @@ def format_fit_report(fit: VarFit) -> str:
             ])
         table = _table(rows)
         rule = "-" * max(len(line) for line in table.splitlines())
-        blocks.append(f"Results for equation {name}\n{rule}\n{table}")
+        blocks.append(f"Results for equation {printable(name)}\n{rule}\n{table}")
     return "\n\n".join(blocks)
 
 
@@ -112,8 +118,8 @@ def format_granger_table(results: list[GrangerResult]) -> str:
     rows = [["Causal Variable", "Variable", "Test statistic", "Critical value", "p-value", "df"]]
     for r in results:
         rows.append([
-            ",".join(r.causing),
-            ",".join(r.caused),
+            printable(",".join(r.causing)),
+            printable(",".join(r.caused)),
             f"{r.statistic:.3f}",
             f"{r.critical_value:.3f}",
             f"{r.p_value:.3f}",

@@ -66,7 +66,7 @@ class VarProcessSpec:
             raise DataError(f"unstable process: companion spectral radius {radius:.6f} >= 1")
         try:
             cholesky_lower(fields["innovation_cov"])
-        except (NotPositiveDefiniteError, ValueError) as exc:
+        except (NotPositiveDefiniteError, DataError) as exc:
             raise DataError(f"innovation covariance is not symmetric positive definite: {exc}")
         for name, value in fields.items():
             object.__setattr__(self, name, value)

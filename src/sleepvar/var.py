@@ -25,12 +25,7 @@ from ._util import (
 from .errors import DataError, NotPositiveDefiniteError, NumericError, SingularDesignError
 from .frame import SeriesFrame
 from .linalg import (
-    augmented_r,
-    check_rank,
-    companion_matrix,
-    is_symmetric,
-    log_det_pd,
-    solve_least_squares,
+    augmented_r, companion_matrix, deficient_columns, is_symmetric, log_det_pd, solve_augmented,
     spectral_radius,
 )
 
@@ -203,12 +198,8 @@ def _lagged_design(values: np.ndarray, p: int, lead=()) -> np.ndarray:
     return augmented
 
 
-def build_lagged_design(frame: SeriesFrame, p: int):
-    """Shared design ((T-p) x (K*p+1)) and targets ((T-p) x K) for a VAR(p).
-
-    Row t carries [1, Y_{t-1}, ..., Y_{t-p}]: constant first, then one block
-    of K columns per lag in variable order.
-    """
+def _checked_design(frame: SeriesFrame, p: int) -> np.ndarray:
+    """:func:`_lagged_design` of a complete frame that leaves rows at lag ``p``."""
     if p < 0:
         raise DataError(f"lag order must be non-negative, got {p}")
     values = _values_or_raise(frame)
@@ -216,43 +207,52 @@ def build_lagged_design(frame: SeriesFrame, p: int):
         raise DataError(
             f"not enough observations: T={values.shape[0]} leaves no rows at lag {p}"
         )
-    k = values.shape[1]
-    augmented = _lagged_design(values, p)
+    return _lagged_design(values, p)
+
+
+def build_lagged_design(frame: SeriesFrame, p: int):
+    """Shared design ((T-p) x (K*p+1)) and targets ((T-p) x K) for a VAR(p).
+
+    Row t carries [1, Y_{t-1}, ..., Y_{t-p}]: constant first, then one block
+    of K columns per lag in variable order.
+    """
+    augmented = _checked_design(frame, p)
+    k = frame.n_vars
     return augmented[:, :-k], augmented[:, -k:]
 
 
-def _map_singular_column(exc: SingularDesignError, names) -> SingularDesignError:
-    c = exc.column
-    label = lag_labels(names, c // len(names) + 1)[c]  # enough lags to reach column c
-    return SingularDesignError(
-        f"design is rank deficient at column {label!r} "
-        f"(e.g. a constant or duplicated variable); drop or fix that variable",
-        column=label,
-    )
+def _require_full_rank(deficient: np.ndarray, names) -> None:
+    """Raise :class:`SingularDesignError` at the design label of the first
+    column marked in ``deficient`` (a mask over const, L1.<v1>, ...)."""
+    if deficient.any():
+        c = int(np.argmax(deficient))
+        label = lag_labels(names, c // len(names) + 1)[c]  # enough lags to reach column c
+        raise SingularDesignError(
+            f"design is rank deficient at column {label!r} "
+            f"(e.g. a constant or duplicated variable); drop or fix that variable",
+            column=label,
+        )
 
 
 def fit_var(frame: SeriesFrame, p: int) -> VarFit:
     """Estimate a VAR(p) on a fully-imputed frame (no missing cells).
 
-    The fit's covariances and coefficient inference are derived by
-    :class:`VarFit` from the residuals and the shared inverse normal matrix.
+    One QR of the builder's augmented [X | Y] gives the coefficients and
+    the shared inverse normal matrix; :class:`VarFit` derives the
+    covariances and coefficient inference from the residuals.
     """
-    design, targets = build_lagged_design(frame, p)
-    k = frame.n_vars
-    t_eff = design.shape[0]
-    m = k * p + 1
-    dof = t_eff - m
-    if dof < 1:
+    augmented = _checked_design(frame, p)
+    t_eff, m = augmented.shape[0], frame.n_vars * p + 1
+    if t_eff - m < 1:
         raise DataError(
             f"not enough observations for inference: t_eff={t_eff} with {m} regressors"
         )
-    try:
-        coef_stacked, resid, nmi = solve_least_squares(design, targets)
-    except SingularDesignError as exc:
-        raise _map_singular_column(exc, frame.names) from None
-    intercept, coef = unstack_params(coef_stacked, p)
+    solved = solve_augmented(augmented, m)
+    _require_full_rank(solved.deficient, frame.names)
+    resid = augmented[:, m:] - augmented[:, :m] @ solved.coefficients
+    intercept, coef = unstack_params(solved.coefficients, p)
     return VarFit(var_names=frame.names, p=p, t_eff=t_eff, intercept=intercept, coef=coef,
-                  residuals=resid, normal_matrix_inverse=nmi)
+                  residuals=resid, normal_matrix_inverse=solved.normal_matrix_inverse())
 
 
 def _criteria(sigma_ml: np.ndarray, t_star: int, k: int, p: int) -> tuple[float, ...]:
@@ -302,10 +302,7 @@ def select_order(frame: SeriesFrame, max_lags: int, override: int | None = None)
     table = np.empty((max_lags + 1, len(CRITERIA)))
     for p in range(max_lags + 1):
         width = 1 + k * p
-        try:
-            check_rank(r, width)
-        except SingularDesignError as exc:
-            raise _map_singular_column(exc, frame.names) from None
+        _require_full_rank(deficient_columns(r, width), frame.names)
         tail = r[width:, m:]
         table[p] = _criteria(tail.T @ tail / t_star, t_star, k, p)
 

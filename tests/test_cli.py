@@ -2,6 +2,7 @@
 
 import base64
 import contextlib
+import datetime as dt
 import io
 import json
 import math
@@ -208,6 +209,19 @@ class TestExitCodes:
         code, out, err = run(capsys, *[a.format(**analysis_inputs) for a in argv])
         assert code == 2 and out == ""
         assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+    def test_irf_without_refit_degrees_of_freedom_is_data_error(self, tmp_path, capsys):
+        # 6 rows at lag 2: the fit keeps t_eff 4 and a stable root (0.74), but
+        # each refit would have 2 rows for 3 regressors
+        frame, model = tmp_path / "f.csv", tmp_path / "m.json"
+        values = sv.substream(0, 0).standard_normal(6)[:, None]
+        sv.write_frame_csv(sv.SeriesFrame(dt.date(2020, 1, 1), ("x",), values), frame)
+        assert run(capsys, "fit", str(frame), "--lags", "2", "-o", str(model))[0] == 0
+        assert sv.load_model(model).stability_radius() < 1.0
+        code, out, err = run(capsys, "irf", str(model), "--replications", "100")
+        assert code == 2 and out == ""
+        assert err.startswith("error: not enough observations for bootstrap refits")
+        assert "Traceback" not in err
 
     def test_select_order_limit_is_a_count(self, analysis_inputs, capsys):
         code, out, err = run(capsys, "select-order", analysis_inputs["merged"],

@@ -1,6 +1,7 @@
 """Impulse-response recursion, orthogonalization, and bootstrap band tests."""
 
 import dataclasses
+import datetime as dt
 
 import numpy as np
 import pytest
@@ -202,6 +203,16 @@ class TestIrfWithBands:
         with pytest.raises(DataError, match="innovation mode"):
             sv.irf_with_bands(fit, replications=150, innovations="bayes")
 
+    def test_refits_need_one_degree_of_freedom_only(self):
+        # K=2, p=1, T=6: each refit has 4 rows for 3 regressors and 2 targets
+        values = substream(0, 0).standard_normal((6, 2))
+        fit = sv.fit_var(sv.SeriesFrame(dt.date(2020, 1, 1), ("x", "y"), values), 1)
+        res = sv.irf_with_bands(fit, horizon=3, replications=100, orthogonalized=False)
+        assert res.n_failed == 0 and np.isfinite(res.lower).all()
+        short = sv.fit_var(sv.SeriesFrame(dt.date(2020, 1, 1), ("x", "y"), values[:5]), 1)
+        with pytest.raises(DataError, match="bootstrap refits: t_eff=4 leaves 3 rows"):
+            sv.irf_with_bands(short, horizon=3, replications=100, orthogonalized=False)
+
     def test_stacked_refits_match_per_replication_loop(self):
         fit = sv.fit_var(sv.simulate_var(VAR2_SPEC, 400, seed=6), 2)
         res = sv.irf_with_bands(fit, horizon=6, replications=150, seed=4)
@@ -214,7 +225,7 @@ class TestIrfWithBands:
         # one refit's residual cross-product is made indefinite: the stack's
         # batched Cholesky fails, and only that replication may be dropped
         fit = sv.fit_var(sv.simulate_var(VAR2_SPEC, 400, seed=6), 2)
-        solve = irf_mod.solve_stacked_least_squares
+        solve = irf_mod.solve_augmented
         stacks = []
 
         def indefinite_second_refit(augmented, m):
@@ -224,7 +235,7 @@ class TestIrfWithBands:
             stacks.append(len(augmented))
             return solved
 
-        monkeypatch.setattr(irf_mod, "solve_stacked_least_squares", indefinite_second_refit)
+        monkeypatch.setattr(irf_mod, "solve_augmented", indefinite_second_refit)
         res = sv.irf_with_bands(fit, horizon=6, replications=150, seed=4)
         assert stacks[0] > 2
         assert res.n_failed == 1

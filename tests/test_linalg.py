@@ -1,17 +1,20 @@
 """Linear-algebra kernel tests with independent pure-Python oracles."""
 
+import datetime as dt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sleepvar.errors import NotPositiveDefiniteError, SingularDesignError
+import sleepvar as sv
+from sleepvar.errors import DataError, NotPositiveDefiniteError, SingularDesignError
 from sleepvar.linalg import (
     cholesky_lower,
     companion_matrix,
     log_det_pd,
+    solve_augmented,
     solve_least_squares,
-    solve_stacked_least_squares,
     spectral_radius,
 )
 from sleepvar.simulate import substream
@@ -93,7 +96,7 @@ class TestSolveLeastSquares:
         assert err.value.column == 2
 
     def test_underdetermined_rejected(self):
-        with pytest.raises(ValueError, match="underdetermined"):
+        with pytest.raises(DataError, match="underdetermined"):
             solve_least_squares(np.ones((2, 3)), np.zeros((2, 1)))
 
     def test_residual_orthogonality(self):
@@ -108,14 +111,14 @@ def augmented_stack(paths: np.ndarray, p: int) -> np.ndarray:
     return _lagged_design(paths, p)
 
 
-class TestSolveStackedLeastSquares:
+class TestSolveAugmented:
     @pytest.mark.parametrize("k", [2, 5])
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_matches_per_path_lstsq(self, k, p):
         paths = substream(k * 10 + p, 0).standard_normal((6, 120, k)) + 0.5
         m = k * p + 1
-        solved = solve_stacked_least_squares(augmented_stack(paths, p), m)
-        assert solved.failures == {}
+        solved = solve_augmented(augmented_stack(paths, p), m)
+        assert not solved.deficient.any()
         for c in range(paths.shape[0]):
             augmented = _lagged_design(paths[c], p)
             design, targets = augmented[:, :m], augmented[:, m:]
@@ -127,9 +130,9 @@ class TestSolveStackedLeastSquares:
     def test_constant_column_masks_only_its_replication(self):
         paths = substream(3, 0).standard_normal((5, 80, 3))
         paths[2, :, 1] = 0.0  # variable 1 constant: its R diagonal is exactly zero
-        solved = solve_stacked_least_squares(augmented_stack(paths, 2), 3 * 2 + 1)
-        assert list(solved.failures) == [2]
-        assert "column 2 " in solved.failures[2]
+        solved = solve_augmented(augmented_stack(paths, 2), 3 * 2 + 1)
+        assert np.flatnonzero(solved.deficient.any(axis=1)).tolist() == [2]
+        assert int(np.argmax(solved.deficient[2])) == 2
         assert not solved.coefficients[2].any()
         assert np.isfinite(solved.coefficients).all()
 
@@ -138,20 +141,40 @@ class TestSolveStackedLeastSquares:
         paths[3] *= 1e-9  # the rank verdict is relative to each replication's own scale
         paths[5] *= 1e6
         aug = augmented_stack(paths, 2)
-        whole = solve_stacked_least_squares(aug, 11)
-        assert whole.failures == {}
+        whole = solve_augmented(aug, 11)
+        assert not whole.deficient.any()
         for c in range(aug.shape[0]):
-            alone = solve_stacked_least_squares(aug[c : c + 1], 11)
+            alone = solve_augmented(aug[c : c + 1], 11)
             assert np.array_equal(alone.coefficients[0], whole.coefficients[c])
             assert np.array_equal(alone.residual_cross[0], whole.residual_cross[c])
 
+    @pytest.mark.parametrize("k, p", [(2, 1), (5, 2), (3, 3)])
+    def test_fit_var_equals_its_path_in_a_stack(self, k, p):
+        paths = substream(k * 10 + p, 1).standard_normal((4, 150, k))
+        solved = solve_augmented(_lagged_design(paths, p), k * p + 1)
+        names = tuple(f"v{i}" for i in range(k))
+        for c in range(paths.shape[0]):
+            fit = sv.fit_var(sv.SeriesFrame(dt.date(2020, 1, 1), names, paths[c]), p)
+            assert np.array_equal(fit.params_matrix(), solved.coefficients[c])
+
     def test_shape_validation(self):
-        with pytest.raises(ValueError, match="3-D"):
-            solve_stacked_least_squares(np.ones((4, 3)), 2)
-        with pytest.raises(ValueError, match="underdetermined"):
-            solve_stacked_least_squares(np.ones((1, 3, 4)), 2)
-        with pytest.raises(ValueError, match="design width"):
-            solve_stacked_least_squares(np.ones((1, 9, 4)), 4)
+        with pytest.raises(DataError, match="underdetermined"):
+            solve_augmented(np.ones((1, 1, 4)), 2)
+        with pytest.raises(DataError, match="design width"):
+            solve_augmented(np.ones((1, 9, 4)), 4)
+        with pytest.raises(DataError, match="at least 2-D"):
+            solve_augmented(np.ones(4), 2)
+
+    def test_fewer_rows_than_augmented_columns(self):
+        # n >= m is enough: R then has n rows, and R_yy holds n - m of them
+        aug = substream(9, 0).standard_normal((2, 4, 5))
+        solved = solve_augmented(aug, 3)
+        for c in range(2):
+            design, targets = aug[c, :, :3], aug[c, :, 3:]
+            coef = np.linalg.solve(design.T @ design, design.T @ targets)
+            resid = targets - design @ coef
+            assert np.abs(solved.coefficients[c] - coef).max() <= 1e-10
+            assert np.abs(solved.residual_cross[c] - resid.T @ resid).max() <= 1e-10
 
 
 class TestCholesky:
@@ -169,7 +192,7 @@ class TestCholesky:
         assert err.value.pivot == 1
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(DataError, match="symmetric"):
             cholesky_lower(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     @given(st.integers(1, 5), st.integers(0, 1000))
@@ -219,7 +242,7 @@ class TestSpectralRadius:
         assert spectral_radius(np.zeros((0, 0))) == 0.0
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
+        with pytest.raises(DataError, match="square"):
             spectral_radius(np.ones((2, 3)))
 
     @given(st.floats(-4.0, 4.0), st.integers(0, 500))

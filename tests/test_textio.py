@@ -513,6 +513,43 @@ class TestTextCellsQuoted:
         assert [row[1:3] for row in rows[1:10]] == [[a, b] for a in ODD_NAMES for b in ODD_NAMES]
 
 
+class TestTextTablesEscapeNames:
+    """A name with CR or LF prints escaped in the text tables, one line per row."""
+
+    def test_fit_granger_and_describe(self, tmp_path, capsys):
+        spec = {"var_names": list(ODD_NAMES), "p": 1, "intercept": [0, 0, 0],
+                "coef": [np.diag([0.5, 0.2, -0.3]).tolist()], "sigma_u": np.eye(3).tolist()}
+        (tmp_path / "s.json").write_text(json.dumps(spec))
+        sim, model = str(tmp_path / "sim.csv"), str(tmp_path / "m.json")
+        assert main(["simulate", "--spec", str(tmp_path / "s.json"), "--t", "200", "-o", sim]) == 0
+        assert main(["fit", sim, "--lags", "1", "-o", model]) == 0
+        capsys.readouterr()
+        shown = [report.printable(name) for name in ODD_NAMES]
+        assert shown[2] == "e\\r\\nf"
+
+        assert main(["fit", sim, "--lags", "1"]) == 0
+        blocks = capsys.readouterr().out.split("\n\n")[1:]
+        labels = ["const", *(f"L1.{name}" for name in shown)]
+        assert len(blocks) == len(ODD_NAMES)
+        for name, block in zip(shown, blocks):
+            lines = block.splitlines()
+            assert lines[0] == f"Results for equation {name}"
+            assert [line.split()[0] for line in lines[3:]] == labels
+
+        assert main(["granger", model, "--causing", ODD_NAMES[2]]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[:2] for row in rows[1:]] == [[shown[2], name] for name in shown[:2]]
+
+        assert main(["describe", sim]) == 0
+        blocks = capsys.readouterr().out.rstrip("\n").split("\n\n")
+        assert [block.splitlines()[0] for block in blocks] == shown
+        assert all(len(block.splitlines()) == 7 for block in blocks)
+
+        # the CSV and JSON views keep the names as they are
+        assert main(["describe", sim, "--json"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == list(ODD_NAMES)
+
+
 # --- The writer ------------------------------------------------------------------
 
 def leftovers(directory):

@@ -15,7 +15,7 @@ from sleepvar.errors import (
     SingularDesignError,
 )
 from sleepvar._util import packed
-from sleepvar.var import _criteria, _map_singular_column, stack_params
+from sleepvar.var import _criteria, _require_full_rank, stack_params
 
 from conftest import VAR2_SPEC, make_frame, v1_model_text
 from test_linalg import gauss_solve
@@ -301,9 +301,13 @@ class TestSelectOrder:
         assert err.value.column == fit_err.value.column == "L1.elevated"
 
     def test_singular_column_named_by_design_label(self, dataset_fit):
-        for c, label in enumerate(dataset_fit.lag_labels()):
-            exc = SingularDesignError("rank deficient", column=c)
-            assert _map_singular_column(exc, dataset_fit.var_names).column == label
+        labels = dataset_fit.lag_labels()
+        _require_full_rank(np.zeros(len(labels), dtype=bool), dataset_fit.var_names)
+        for c, label in enumerate(labels):
+            deficient = np.arange(len(labels)) >= c  # the first marked column is named
+            with pytest.raises(SingularDesignError) as err:
+                _require_full_rank(deficient, dataset_fit.var_names)
+            assert err.value.column == label
 
     def test_common_sample_matches_statsmodels(self):
         VAR = pytest.importorskip("statsmodels.tsa.api").VAR
