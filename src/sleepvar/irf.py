@@ -18,15 +18,18 @@ recursion, refits, MA recursion.  A block's shocks and paths take about
 block the refits run in stacks of about :data:`REFIT_STACK_BYTES` of
 design: each stack's lagged designs come from the estimator's own builder,
 and the estimator's own solver (:func:`~sleepvar.linalg.solve_augmented`,
-one LAPACK call per stack) gives the coefficients, residual
-cross-products and rank mask.  The MA recursion and the Cholesky
-orthogonalization then run over the whole stack.  Only the response draws
-the percentiles need are kept for every replication, so memory does not
-grow with the paths of all replications.
+one LAPACK ``dgeqrf`` per refit, in place on the stack's freshly built
+designs) gives the coefficients, residual cross-products and rank mask.
+The MA recursion and the Cholesky orthogonalization then run over the
+whole stack.  Only the response draws the percentiles need are kept for
+every replication, so memory does not grow with the paths of all
+replications.
 A replication's results do not depend on the block or stack it lands in,
 nor on the BLAS thread count.  A rank-deficient or non-positive-definite
 refit is masked and counted in ``IrfResult.n_failed``; a fit whose refits
-would keep no residual degree of freedom is rejected before any draw.
+would keep no residual degree of freedom (fewer than K for orthogonalized
+bands, whose refit covariances would be singular) is rejected before any
+draw.
 """
 
 from __future__ import annotations
@@ -147,9 +150,10 @@ def irf_with_bands(
     ``innovations`` selects the resampler: ``gaussian`` draws fresh shocks
     with the fitted residual covariance; ``empirical`` resamples centered
     residual rows with replacement.  The fit must be stable and leave each
-    refit (t_eff - p rows) a residual degree of freedom, and there must be
-    at least :data:`MIN_REPLICATIONS` replications; more than 1% failed
-    refits abort with diagnostics.
+    refit (t_eff - p rows) a residual degree of freedom, K of them for
+    orthogonalized bands, and there must be at least
+    :data:`MIN_REPLICATIONS` replications; more than 1% failed refits abort
+    with diagnostics.
     """
     if not 0.0 < level < 1.0:
         raise DataError(f"level must lie in (0, 1), got {level}")
@@ -165,6 +169,9 @@ def irf_with_bands(
     if dof < 1:
         raise DataError(f"not enough observations for bootstrap refits: t_eff={t_eff} "
                         f"leaves {t_eff - p} rows at lag {p} for {m} regressors")
+    if orthogonalized and dof < k:  # a refit's residual covariance would be singular
+        raise DataError(f"orthogonalized bands need at least K={k} residual degrees of freedom "
+                        f"per refit, got dof={dof}; use plain impulses or more observations")
     radius = fit.stability_radius()
     if radius >= 1.0:
         raise NumericError(
@@ -204,7 +211,7 @@ def irf_with_bands(
         sample = iterate_paths(fit.intercept, fit.coef, shocks, mean)[:, DEFAULT_BURN_IN:]
         for start in range(0, b, stack):
             augmented = _lagged_design(sample[start : start + stack], p)
-            solved = solve_augmented(augmented, m)
+            solved = solve_augmented(augmented, m, overwrite_a=True)
             coef = solved.coefficients[:, 1:].reshape(-1, p, k, k).transpose(0, 1, 3, 2)
             phi = _ma_recursion(coef, horizon)
             reasons = {int(c): rank_message(int(np.argmax(solved.deficient[c])))

@@ -1,9 +1,9 @@
 """Dense linear-algebra kernel backing the estimators.
 
 Every least-squares problem, one matrix or a stack of them, goes through
-:func:`solve_augmented`: one Householder QR (LAPACK, via numpy) of the
-augmented matrix [X | Y] in ``mode="r"``.  No Q is formed, nothing goes
-through the normal equations or an SVD, and every answer is read from R =
+:func:`solve_augmented`: one Householder QR of the augmented matrix [X | Y],
+LAPACK ``dgeqrf`` on each matrix.  No Q is formed, nothing goes through the
+normal equations or an SVD, and every answer is read from R =
 [[R_xx, R_xy], [0, R_yy]] (Golub & Van Loan, *Matrix Computations*, 5.3):
 
 * coefficients solve R_xx B = R_xy;
@@ -13,9 +13,15 @@ through the normal equations or an SVD, and every answer is read from R =
 * ``(X'X)^-1`` is R_xx^-1 R_xx^-T;
 * small R diagonals mark rank-deficient columns, which callers raise or mask.
 
-A stack (the bootstrap refits) is factored in one LAPACK call.  Only
-numpy's BLAS (and its one thread pool) is involved.  Malformed input raises
-:class:`DataError`.  Everything here is pure and safe for concurrent use.
+``dgeqrf`` is called through numpy's own ``lapack_lite``, so only numpy's
+LAPACK and BLAS (and its one thread pool) are involved.  It factors a
+column-major matrix, the layout the lagged-design builder returns, in place:
+a caller that owns a freshly built matrix passes ``overwrite_a=True`` and
+no copy of it is made; any other input gets one private column-major copy.
+One workspace query serves a whole stack, with the optimal block size
+numpy's own QR uses, so R is bit-identical to that QR's ``mode="r"``.
+Malformed input raises :class:`DataError`.  Everything here is safe for
+concurrent use, and nothing but ``overwrite_a=True`` writes to an argument.
 """
 
 from __future__ import annotations
@@ -23,8 +29,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
-from .errors import ConvergenceError, DataError, NotPositiveDefiniteError, SingularDesignError
+from .errors import (
+    ConvergenceError, DataError, NotPositiveDefiniteError, SingularDesignError, SleepVarError,
+)
 
 # Relative tolerance below which an R diagonal marks the design rank deficient.
 RANK_RTOL = 1e-10
@@ -78,9 +87,15 @@ def deficient_columns(r: np.ndarray, m: int) -> np.ndarray:
     return diag <= RANK_RTOL * diag.max(axis=-1, keepdims=True, initial=0.0)
 
 
-def augmented_r(augmented, m: int) -> np.ndarray:
+def augmented_r(augmented, m: int, overwrite_a: bool = False) -> np.ndarray:
     """R factors (no Q) of augmented matrices [X | Y], shape (..., n, m+q),
-    X in the first ``m`` columns and leading axes stacking problems; n >= m."""
+    X in the first ``m`` columns and leading axes stacking problems; n >= m.
+
+    Returns a fresh (..., min(n, m+q), m+q) upper triangle.  With
+    ``overwrite_a``, a writeable float64 array whose last two axes are
+    column-major is factored in place (its contents are destroyed); any
+    other input is copied once.
+    """
     a = np.asarray(augmented, dtype=float)
     if a.ndim < 2:
         raise DataError(f"augmented matrix must be at least 2-D, got shape {a.shape}")
@@ -91,17 +106,38 @@ def augmented_r(augmented, m: int) -> np.ndarray:
         raise DataError(f"underdetermined system: {n} rows < {m} columns")
     if not np.isfinite(a).all():
         raise DataError("augmented matrix contains non-finite entries")
-    return np.linalg.qr(a, mode="r")
+    columns = np.swapaxes(a, -1, -2)  # each matrix's columns, C-contiguous when column-major
+    if not (overwrite_a and a.flags.writeable and columns.flags.c_contiguous):
+        columns = columns.copy()
+        a = np.swapaxes(columns, -1, -2)
+    matrices = [columns[index] for index in np.ndindex(a.shape[:-2])]
+    tau, work = np.empty(min(n, width)), np.empty(1)
+    if matrices:
+        _dgeqrf(matrices[0], tau, work, -1)  # workspace query: the optimal size in work[0]
+        work = np.empty(max(1, width, int(work[0])))
+    for matrix in matrices:
+        _dgeqrf(matrix, tau, work, work.size)
+    return np.triu(a[..., : min(n, width), :])
 
 
-def solve_augmented(augmented, m: int) -> AugmentedSolve:
+def _dgeqrf(columns: np.ndarray, tau: np.ndarray, work: np.ndarray, lwork: int) -> None:
+    """LAPACK dgeqrf on one column-major matrix, given as its C-contiguous
+    (width, n) transpose; ``lwork`` -1 queries the workspace into work[0]."""
+    width, n = columns.shape
+    info = lapack_lite.dgeqrf(n, width, columns, max(1, n), tau, work, lwork, 0)["info"]
+    if info != 0:
+        raise SleepVarError(f"LAPACK dgeqrf failed with info={info}")
+
+
+def solve_augmented(augmented, m: int, overwrite_a: bool = False) -> AugmentedSolve:
     """Least squares of Y on X for an augmented [X | Y] or a stack, one QR each.
 
+    ``overwrite_a`` lets :func:`augmented_r` factor ``augmented`` in place.
     A matrix whose R_xx fails the rank rule of :func:`deficient_columns` is
     masked, not raised: ``deficient`` marks its columns and its coefficients
     are zero.  Each matrix's results do not depend on the rest of the stack.
     """
-    r = augmented_r(augmented, m)
+    r = augmented_r(augmented, m, overwrite_a)
     deficient = deficient_columns(r, m)
     bad = deficient.any(axis=-1)
     # R_xx is upper triangular, so partial pivoting keeps its diagonal and
@@ -129,7 +165,7 @@ def solve_least_squares(design, targets) -> LeastSquares:
         raise DataError(f"design has {n} rows but targets has {y.shape[0]}")
     augmented = np.empty((m + q, n)).T  # column-major, the layout LAPACK factors
     augmented[:, :m], augmented[:, m:] = x, y
-    solved = solve_augmented(augmented, m)
+    solved = solve_augmented(augmented, m, overwrite_a=True)
     if solved.deficient.any():
         col = int(np.argmax(solved.deficient))
         raise SingularDesignError(rank_message(col), column=col)

@@ -138,10 +138,10 @@ def adf_test(series, regression: str = "constant", max_lag: int | None = None) -
     augmented = _adf_augmented(y, max_lag, ntrend)
     n, m_full = augmented.shape[0], augmented.shape[1] - 1
     base = ntrend + 1
-    r = augmented_r(augmented, m_full)
+    floor = max((RANK_RTOL * np.linalg.norm(augmented[:, m_full])) ** 2, np.finfo(float).tiny)
+    r = augmented_r(augmented, m_full, overwrite_a=True)
     orders = 1 + int(np.cumprod(~deficient_columns(r, m_full)[base:]).sum())
     ssr = np.cumsum(r[::-1, -1] ** 2)[::-1][base : base + orders]
-    floor = max((RANK_RTOL * np.linalg.norm(augmented[:, m_full])) ** 2, np.finfo(float).tiny)
     aic = n * np.log(np.maximum(ssr, floor) / n) + 2.0 * (base + np.arange(orders))
     used_lag = int(np.argmin(aic))
 
@@ -157,7 +157,8 @@ def adf_test(series, regression: str = "constant", max_lag: int | None = None) -
     if dof < 1:
         raise DataError("series too short for the selected augmentation order")
     level = ntrend  # index of the y_{t-1} column
-    r = augmented_r(augmented[:, [*range(level), *range(level + 1, m), level, m]], m)
+    moved = augmented.T[[*range(level), *range(level + 1, m), level, m]].T  # column-major
+    r = augmented_r(moved, m, overwrite_a=True)
     resid_norm = abs(r[m, m])
     if deficient_columns(r, m)[-1] or resid_norm <= RANK_RTOL * np.linalg.norm(augmented[:, m]):
         statistic = 0.0

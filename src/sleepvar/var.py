@@ -239,7 +239,8 @@ def fit_var(frame: SeriesFrame, p: int) -> VarFit:
 
     One QR of the builder's augmented [X | Y] gives the coefficients and
     the shared inverse normal matrix; :class:`VarFit` derives the
-    covariances and coefficient inference from the residuals.
+    covariances and coefficient inference from the residuals, which are
+    computed from the same matrix, so the QR factors a copy of it.
     """
     augmented = _checked_design(frame, p)
     t_eff, m = augmented.shape[0], frame.n_vars * p + 1
@@ -289,16 +290,17 @@ def select_order(frame: SeriesFrame, max_lags: int, override: int | None = None)
     values = _values_or_raise(frame)
     t_total, k = values.shape
     t_star = t_total - max_lags
-    if t_star < k * max_lags + 2:
+    m = 1 + k * max_lags
+    # the top lag's ML covariance needs K residual degrees of freedom to be full rank
+    if t_star - m < k:
         raise DataError(
             f"not enough observations to compare lags up to {max_lags}: "
-            f"{(k + 1) * max_lags + 2} are needed, the frame has {t_total}"
+            f"{max_lags + m + k} are needed, the frame has {t_total}"
         )
 
     # One QR of [X | Y] at max_lags: the lag-p design is the first 1 + K*p
     # columns of X, so its residual cross-product is R[1+K*p:, m:]' R[1+K*p:, m:].
-    m = 1 + k * max_lags
-    r = augmented_r(_lagged_design(values, max_lags), m)
+    r = augmented_r(_lagged_design(values, max_lags), m, overwrite_a=True)
     table = np.empty((max_lags + 1, len(CRITERIA)))
     for p in range(max_lags + 1):
         width = 1 + k * p

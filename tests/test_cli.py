@@ -223,12 +223,40 @@ class TestExitCodes:
         assert err.startswith("error: not enough observations for bootstrap refits")
         assert "Traceback" not in err
 
+    def test_orthogonalized_irf_without_k_refit_degrees_of_freedom(self, tmp_path, capsys):
+        # 6 rows at lag 1, K=2: each refit keeps 1 residual degree of freedom,
+        # enough for plain impulses, not for a full-rank 2x2 covariance
+        frame, model = tmp_path / "f.csv", tmp_path / "m.json"
+        values = sv.substream(0, 0).standard_normal((6, 2))
+        sv.write_frame_csv(sv.SeriesFrame(dt.date(2020, 1, 1), ("x", "y"), values), frame)
+        assert run(capsys, "fit", str(frame), "--lags", "1", "-o", str(model))[0] == 0
+        code, out, err = run(capsys, "irf", str(model), "--replications", "100")
+        assert code == 2 and out == ""
+        assert err.startswith("error: orthogonalized bands need at least K=2 residual degrees "
+                              "of freedom per refit, got dof=1")
+        code, out, _ = run(capsys, "irf", str(model), "--replications", "100", "--no-orth")
+        assert code == 0 and out
+
     def test_select_order_limit_is_a_count(self, analysis_inputs, capsys):
         code, out, err = run(capsys, "select-order", analysis_inputs["merged"],
                              "--maxlags", "100000")
         assert code == 2 and out == ""
         assert err == ("error: not enough observations to compare lags up to 100000: "
-                       "600002 are needed, the frame has 1455\n")
+                       "600006 are needed, the frame has 1455\n")
+
+    def test_select_order_top_lag_keeps_k_residual_degrees_of_freedom(self, analysis_inputs,
+                                                                      capsys):
+        # 242 lags leave 1213 rows for 1211 regressors: 2 residual degrees
+        # of freedom cannot make the 5x5 ML covariance full rank
+        code, out, err = run(capsys, "select-order", analysis_inputs["merged"],
+                             "--maxlags", "242")
+        assert code == 2 and out == ""
+        assert err == ("error: not enough observations to compare lags up to 242: "
+                       "1458 are needed, the frame has 1455\n")
+        code, out, err = run(capsys, "select-order", analysis_inputs["merged"],
+                             "--maxlags", "241")
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) > 242
 
 
 class TestIngest:

@@ -209,6 +209,9 @@ class TestIrfWithBands:
         fit = sv.fit_var(sv.SeriesFrame(dt.date(2020, 1, 1), ("x", "y"), values), 1)
         res = sv.irf_with_bands(fit, horizon=3, replications=100, orthogonalized=False)
         assert res.n_failed == 0 and np.isfinite(res.lower).all()
+        # orthogonalized bands need K: 1 leaves each refit's 2x2 covariance singular
+        with pytest.raises(DataError, match=r"at least K=2 residual degrees .* got dof=1"):
+            sv.irf_with_bands(fit, horizon=3, replications=100)
         short = sv.fit_var(sv.SeriesFrame(dt.date(2020, 1, 1), ("x", "y"), values[:5]), 1)
         with pytest.raises(DataError, match="bootstrap refits: t_eff=4 leaves 3 rows"):
             sv.irf_with_bands(short, horizon=3, replications=100, orthogonalized=False)
@@ -228,8 +231,8 @@ class TestIrfWithBands:
         solve = irf_mod.solve_augmented
         stacks = []
 
-        def indefinite_second_refit(augmented, m):
-            solved = solve(augmented, m)
+        def indefinite_second_refit(augmented, m, **kwargs):
+            solved = solve(augmented, m, **kwargs)
             if not stacks:
                 solved.residual_cross[1] = np.diag([1.0, -1.0])
             stacks.append(len(augmented))

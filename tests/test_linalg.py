@@ -1,6 +1,11 @@
 """Linear-algebra kernel tests with independent pure-Python oracles."""
 
 import datetime as dt
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from hypothesis import strategies as st
 import sleepvar as sv
 from sleepvar.errors import DataError, NotPositiveDefiniteError, SingularDesignError
 from sleepvar.linalg import (
+    augmented_r,
     cholesky_lower,
     companion_matrix,
     log_det_pd,
@@ -175,6 +181,96 @@ class TestSolveAugmented:
             resid = targets - design @ coef
             assert np.abs(solved.coefficients[c] - coef).max() <= 1e-10
             assert np.abs(solved.residual_cross[c] - resid.T @ resid).max() <= 1e-10
+
+
+# The kernel calls LAPACK dgeqrf through numpy's semi-private lapack_lite;
+# its R must stay bit-identical to numpy's own QR, which runs the same
+# dgeqrf on a copy.  Run in a fresh interpreter so the BLAS thread count
+# holds: more than 128 columns take dgeqrf's blocked path, whose BLAS-3
+# updates are the calls that can thread.
+QR_PARITY_SCRIPT = """
+import numpy as np
+from sleepvar.linalg import augmented_r
+
+def column_major(a):
+    return np.swapaxes(np.ascontiguousarray(np.swapaxes(a, -1, -2)), -1, -2)
+
+gen = np.random.default_rng(7)
+cases = {
+    "single": (gen.standard_normal((300, 12)), 9),
+    "blocked": (gen.standard_normal((400, 160)), 150),
+    "stack": (gen.standard_normal((5, 120, 9)), 7),
+    "n < width": (gen.standard_normal((3, 6, 9)), 4),
+    "integer": (gen.integers(-9, 10, (50, 6)), 4),
+}
+read_only = gen.standard_normal((40, 5))
+read_only.flags.writeable = False
+cases["read-only"] = (read_only, 3)
+failed = []
+for name, (a, m) in cases.items():
+    want = np.linalg.qr(a, mode="r")
+    got = {"C-ordered": augmented_r(a, m), "overwrite, C-ordered": augmented_r(a, m, True)}
+    if a.dtype == float and a.flags.writeable:
+        got["overwrite, column-major"] = augmented_r(column_major(a), m, True)
+        got["column-major"] = augmented_r(column_major(a), m)
+    failed += [f"{name}, {how}" for how, r in got.items()
+               if r.shape != want.shape or r.tobytes() != want.tobytes()]
+print(failed)
+"""
+
+
+class TestAugmentedR:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_equals_numpy_qr_bit_for_bit(self, threads):
+        src = str(Path(sv.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", QR_PARITY_SCRIPT],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_default_leaves_argument_untouched(self):
+        aug = augmented_stack(substream(11, 0).standard_normal((3, 90, 4)), 2)
+        before = aug.copy()
+        augmented_r(aug, 9)
+        solve_augmented(aug, 9)
+        assert np.array_equal(aug, before)
+
+    def test_overwrite_factors_the_column_major_buffer_in_place(self):
+        aug = augmented_stack(substream(11, 1).standard_normal((3, 90, 4)), 2)
+        r = augmented_r(aug, 9, overwrite_a=True)
+        assert not np.shares_memory(r, aug)  # R does not keep the buffer alive
+        assert np.array_equal(np.triu(aug[:, :13]), r)  # the buffer holds the factors
+
+    def test_overwrite_copies_what_it_cannot_factor_in_place(self):
+        c_ordered = substream(11, 2).standard_normal((60, 5))
+        read_only = np.asfortranarray(c_ordered)
+        read_only.flags.writeable = False
+        for a in (c_ordered, read_only):
+            before = a.copy()
+            augmented_r(a, 3, overwrite_a=True)
+            assert np.array_equal(a, before)
+
+    def test_empty_stack(self):
+        assert augmented_r(np.empty((0, 6, 4)), 2).shape == (0, 4, 4)
+
+    def test_select_order_peak_memory_near_its_design(self):
+        # the max_lags design is factored where the builder made it: the
+        # traced peak is that buffer plus small temporaries (1.13x measured;
+        # numpy's QR copied it twice, 2.06x)
+        t, k, max_lags = 3650, 5, 30
+        frame = sv.SeriesFrame(dt.date(2020, 1, 1), tuple("abcde"),
+                               substream(12, 0).standard_normal((t, k)))
+        design_bytes = (t - max_lags) * (1 + k * max_lags + k) * 8
+        tracemalloc.start()
+        try:
+            sv.select_order(frame, max_lags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * design_bytes
 
 
 class TestCholesky:
