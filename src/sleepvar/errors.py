@@ -29,12 +29,13 @@ class SingularDesignError(NumericError):
 class NotPositiveDefiniteError(NumericError):
     """A matrix that must be positive definite is not.
 
-    ``pivot`` is the index of the first non-positive Cholesky pivot.
+    ``pivot`` is the first non-positive Cholesky pivot; ``index`` the matrix's place in a stack.
     """
 
-    def __init__(self, message: str, pivot: int):
+    def __init__(self, message: str, pivot: int, index: tuple[int, ...] = ()):
         super().__init__(message)
         self.pivot = pivot
+        self.index = index
 
 
 class ConvergenceError(NumericError):

@@ -20,10 +20,11 @@ design: each stack's lagged designs come from the estimator's own builder,
 and the estimator's own solver (:func:`~sleepvar.linalg.solve_augmented`,
 one LAPACK ``dgeqrf`` per refit, in place on the stack's freshly built
 designs) gives the coefficients, residual cross-products and rank mask.
-The MA recursion and the Cholesky orthogonalization then run over the
-whole stack.  Only the response draws the percentiles need are kept for
-every replication, so memory does not grow with the paths of all
-replications.
+The MA recursion and the orthogonalization then run over the whole stack,
+one LAPACK ``dpotrf`` per refit in :func:`~sleepvar.linalg.cholesky_lower`,
+which also factors ``sigma_u`` once for the point responses and the shocks.
+Only the response draws the percentiles need are kept for every
+replication, so memory does not grow with the paths of all replications.
 A replication's results do not depend on the block or stack it lands in,
 nor on the BLAS thread count.  A rank-deficient or non-positive-definite
 refit is masked and counted in ``IrfResult.n_failed``; a fit whose refits
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import DataError, NotPositiveDefiniteError, NumericError
 from .linalg import cholesky_lower, rank_message, solve_augmented
 from .simulate import DEFAULT_BURN_IN, iterate_paths, substream
-from .var import VarFit, _lagged_design
+from .var import VarFit, _lagged_design, unconditional_mean
 
 INNOVATION_MODES = ("gaussian", "empirical")
 MIN_REPLICATIONS = 100
@@ -88,34 +89,16 @@ def _ma_recursion(coef: np.ndarray, horizon: int) -> np.ndarray:
 
 def _orthogonalize(phi: np.ndarray, cov: np.ndarray, reasons: dict[int, str]) -> None:
     """Right-multiply each stacked response ``phi[c]`` by the lower Cholesky
-    factor of ``cov[c]``, in place, skipping the refits named in ``reasons``.
-
-    One batched factorization serves the stack.  Only when it fails is the
-    stack factored one refit at a time, and each failed refit is added to
-    ``reasons`` with the pivot that failed; the others get the same factor
-    either way.
-    """
+    factor of ``cov[c]``, in place, skipping the refits named in ``reasons``;
+    a refit without a factor joins ``reasons`` and the rest are refactored."""
     good = [c for c in range(len(phi)) if c not in reasons]
-    try:
-        factors = np.linalg.cholesky(cov[good])
-    except np.linalg.LinAlgError:
-        factors = np.empty((len(good), *cov.shape[1:]))
-        for i, c in enumerate(good):
-            try:
-                factors[i] = np.linalg.cholesky(cov[c])
-            except np.linalg.LinAlgError:
-                reasons[c] = _pivot_reason(cov[c])
-                factors[i] = np.eye(cov.shape[1])
+    while True:
+        try:
+            factors = cholesky_lower(cov[good])
+            break
+        except NotPositiveDefiniteError as exc:
+            reasons[good.pop(exc.index[0])] = str(exc)
     phi[good] = phi[good] @ factors[:, None]
-
-
-def _pivot_reason(cov: np.ndarray) -> str:
-    """Why ``cov`` has no Cholesky factor, in :func:`cholesky_lower`'s words."""
-    try:
-        cholesky_lower(cov)
-    except (NotPositiveDefiniteError, DataError) as exc:
-        return str(exc)
-    return "matrix is not positive definite"
 
 
 def ma_coefficients(fit: VarFit, horizon: int) -> np.ndarray:
@@ -132,8 +115,7 @@ def ma_coefficients(fit: VarFit, horizon: int) -> np.ndarray:
 def orthogonalized_irf(fit: VarFit, horizon: int) -> np.ndarray:
     """MA coefficients right-multiplied by the lower Cholesky factor of
     the df-adjusted residual covariance."""
-    chol = cholesky_lower(fit.sigma_u)
-    return ma_coefficients(fit, horizon) @ chol
+    return ma_coefficients(fit, horizon) @ cholesky_lower(fit.sigma_u)
 
 
 def irf_with_bands(
@@ -179,16 +161,17 @@ def irf_with_bands(
             "bootstrap bands require a stable fit"
         )
 
-    point = orthogonalized_irf(fit, horizon) if orthogonalized else ma_coefficients(fit, horizon)
+    chol = cholesky_lower(fit.sigma_u)  # colors the shocks and orthogonalizes the point responses
+    phi = ma_coefficients(fit, horizon)
+    point = phi @ chol if orthogonalized else phi
 
     n_steps = DEFAULT_BURN_IN + t_eff
     # the fewest blocks the budget allows, of near-equal size
     n_blocks = -(-replications // max(1, PATH_BLOCK_BYTES // ((2 * n_steps + p) * k * 8)))
     block = -(-replications // n_blocks)
     stack = max(1, REFIT_STACK_BYTES // ((t_eff - p) * (m + k) * 8))
-    chol = cholesky_lower(fit.sigma_u)
     centered = fit.residuals - fit.residuals.mean(axis=0)
-    mean = np.linalg.solve(np.eye(k) - fit.coef.sum(axis=0), fit.intercept)
+    mean = unconditional_mean(fit.intercept, fit.coef)
 
     storage = np.empty(block * n_steps * k)
     try:

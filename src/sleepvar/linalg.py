@@ -20,6 +20,8 @@ a caller that owns a freshly built matrix passes ``overwrite_a=True`` and
 no copy of it is made; any other input gets one private column-major copy.
 One workspace query serves a whole stack, with the optimal block size
 numpy's own QR uses, so R is bit-identical to that QR's ``mode="r"``.
+Every Cholesky factor in the package is one LAPACK ``dpotrf`` per matrix,
+of one or a stack, in :func:`cholesky_lower`.
 Malformed input raises :class:`DataError`.  Everything here is safe for
 concurrent use, and nothing but ``overwrite_a=True`` writes to an argument.
 """
@@ -174,31 +176,42 @@ def solve_least_squares(design, targets) -> LeastSquares:
 
 
 def is_symmetric(a: np.ndarray) -> bool:
-    """Whether square ``a`` equals its transpose to ``SYMMETRY_RTOL`` times its largest entry."""
-    scale = np.abs(a).max(initial=0.0)
-    return bool(np.abs(a - a.T).max(initial=0.0) <= SYMMETRY_RTOL * max(scale, 1e-300))
+    """Whether each matrix of ``a`` is symmetric to ``SYMMETRY_RTOL`` times its largest entry."""
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    asymmetry = np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    return bool((asymmetry <= SYMMETRY_RTOL * np.maximum(scale, 1e-300)).all())
 
 
 def cholesky_lower(m) -> np.ndarray:
-    """Lower-triangular P with ``P @ P.T == m`` for symmetric positive definite m."""
-    a = as_matrix(m)
-    k = a.shape[0]
-    if a.shape[1] != k:
+    """Lower-triangular P with ``P @ P.T == m`` for a symmetric positive
+    definite (K, K) matrix, or for each matrix of a (..., K, K) stack.
+
+    A matrix without a factor raises :class:`NotPositiveDefiniteError` with
+    its ``index`` in the stack and its ``pivot``, the first j whose leading
+    block a[:j+1, :j+1] has none, worded with that block's Schur complement.
+    """
+    a = np.asarray(m, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DataError(f"matrix must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DataError("matrix contains non-finite entries")
     if not is_symmetric(a):
         raise DataError("matrix is not symmetric within tolerance")
-
-    low = np.zeros((k, k))
-    for j in range(k):
-        d = a[j, j] - low[j, :j] @ low[j, :j]
-        if d <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite: pivot {j} is {d:.3e}", pivot=j
-            )
-        low[j, j] = np.sqrt(d)
-        if j + 1 < k:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
-    return low
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        for index in np.ndindex(a.shape[:-2]):
+            low, one = np.zeros((0, 0)), a[index]
+            for j in range(len(one)):
+                try:
+                    low = np.linalg.cholesky(one[: j + 1, : j + 1])
+                except np.linalg.LinAlgError:
+                    w = np.linalg.solve(low, one[:j, j])
+                    raise NotPositiveDefiniteError(
+                        f"matrix is not positive definite: pivot {j} is {one[j, j] - w @ w:.3e}",
+                        pivot=j, index=index,
+                    ) from None
+        raise  # unreachable: a stack fails only where one of its matrices does
 
 
 def log_det_pd(m) -> float:
@@ -211,13 +224,11 @@ def spectral_radius(m) -> float:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DataError(f"matrix must be square, got shape {a.shape}")
-    if a.shape[0] == 0:
-        return 0.0
     try:
         eig = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue computation failed to converge: {exc}") from exc
-    return float(np.abs(eig).max())
+    return float(np.abs(eig).max(initial=0.0))
 
 
 def companion_matrix(coef: np.ndarray) -> np.ndarray:
@@ -230,11 +241,12 @@ def companion_matrix(coef: np.ndarray) -> np.ndarray:
     if coef.ndim != 3 or coef.shape[1] != coef.shape[2]:
         raise DataError(f"lag stack must have shape (p, K, K), got {coef.shape}")
     p, k = coef.shape[0], coef.shape[1]
-    comp = np.zeros((k * p, k * p))
-    if p == 0:
-        return comp
-    comp[:k] = coef.transpose(1, 0, 2).reshape(k, k * p)
-    if p > 1:
-        idx = np.arange(k * (p - 1))
-        comp[k + idx, idx] = 1.0
+    comp = np.eye(k * p, k=-k)  # the identities, K rows below the diagonal
+    if p:
+        comp[:k] = coef.transpose(1, 0, 2).reshape(k, k * p)
     return comp
+
+
+def stability_radius(coef: np.ndarray) -> float:
+    """Companion spectral radius of a (p, K, K) lag stack; 0.0 when p = 0."""
+    return spectral_radius(companion_matrix(coef))

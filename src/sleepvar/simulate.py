@@ -22,8 +22,8 @@ import numpy as np
 from ._util import TextSource, checked_count, checked_names, frozen_array, load_document
 from .errors import DataError, NotPositiveDefiniteError
 from .frame import SeriesFrame
-from .linalg import cholesky_lower, companion_matrix, spectral_radius
-from .var import residual_covariances
+from .linalg import cholesky_lower, stability_radius
+from .var import residual_covariances, unconditional_mean
 
 SIM_EPOCH = dt.date(2000, 1, 1)
 DEFAULT_BURN_IN = 200
@@ -61,7 +61,7 @@ class VarProcessSpec:
             "coef": frozen_array(self.coef, "coef", (p, k, k)),
             "innovation_cov": frozen_array(self.innovation_cov, "innovation_cov", (k, k)),
         }
-        radius = spectral_radius(companion_matrix(fields["coef"])) if p else 0.0
+        radius = stability_radius(fields["coef"])
         if radius >= 1.0:
             raise DataError(f"unstable process: companion spectral radius {radius:.6f} >= 1")
         try:
@@ -76,8 +76,7 @@ class VarProcessSpec:
         return len(self.var_names)
 
     def unconditional_mean(self) -> np.ndarray:
-        a_sum = self.coef.sum(axis=0) if self.p else np.zeros((self.n_vars, self.n_vars))
-        return np.linalg.solve(np.eye(self.n_vars) - a_sum, self.intercept)
+        return unconditional_mean(self.intercept, self.coef)
 
 
 def iterate_paths(

@@ -25,8 +25,7 @@ from ._util import (
 from .errors import DataError, NotPositiveDefiniteError, NumericError, SingularDesignError
 from .frame import SeriesFrame
 from .linalg import (
-    augmented_r, companion_matrix, deficient_columns, is_symmetric, log_det_pd, solve_augmented,
-    spectral_radius,
+    augmented_r, deficient_columns, is_symmetric, log_det_pd, solve_augmented, stability_radius,
 )
 
 CRITERIA = ("aic", "bic", "fpe", "hqic")
@@ -67,6 +66,11 @@ def residual_covariances(residuals: np.ndarray, p: int) -> tuple[np.ndarray, np.
         )
     cross = residuals.T @ residuals
     return cross / dof, cross / t_eff
+
+
+def unconditional_mean(intercept: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Mean (I - A_1 - ... - A_p)^-1 nu of a stable VAR; nu itself when p = 0."""
+    return np.linalg.solve(np.eye(len(intercept)) - coef.sum(axis=0), intercept)
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,7 @@ class VarFit:
         return stack_params(self.intercept, self.coef)
 
     def stability_radius(self) -> float:
-        return spectral_radius(companion_matrix(self.coef)) if self.p else 0.0
+        return stability_radius(self.coef)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ against the built-in simulator and independent oracles.
 """
 
 import json
+import runpy
+import sys
 import time
 
 import numpy as np
@@ -15,12 +17,11 @@ import pytest
 
 import sleepvar as sv
 from sleepvar import report
-from sleepvar.cli import main
 from sleepvar.inference import f_ppf
 from sleepvar.linalg import cholesky_lower
 from sleepvar.simulate import substream
 
-from conftest import DATA_DIR, GOLDEN_DIR, VAR2_SPEC
+from conftest import DATA_DIR, GOLDEN_DIR, REPO, VAR2_SPEC
 from test_irf import shock_propagation_oracle
 from test_var import scalar_ar_ols
 
@@ -240,32 +241,26 @@ def test_10_pacf_calibration():
     )
 
 
-def _run_pipeline(workdir) -> dict[str, bytes]:
-    merged = workdir / "merged.csv"
-    model = workdir / "model.json"
-    granger_out = workdir / "granger.txt"
-    irf_csv = workdir / "irf.csv"
-    irf_svg = workdir / "irf.svg"
-    assert main(["ingest", "--oura", str(DATA_DIR / "sleep.csv"),
-                 "--emood", str(DATA_DIR / "mood.csv"), "-o", str(merged)]) == 0
-    assert main(["fit", str(merged), "--lags", "2", "-o", str(model)]) == 0
-    assert main(["granger", str(model), "--causing", "score",
-                 "-o", str(granger_out)]) == 0
-    assert main(["irf", str(model), "--seed", "0", "--replications", "1000",
-                 "-o", str(irf_csv), "--svg", str(irf_svg)]) == 0
-    return {p.name: p.read_bytes() for p in (merged, model, granger_out, irf_csv, irf_svg)}
+QUICKSTART_ARTIFACTS = 12
 
 
-def test_11_end_to_end_determinism(tmp_path, capsys):
-    a, b = tmp_path / "a", tmp_path / "b"
-    a.mkdir(), b.mkdir()
-    first = _run_pipeline(a)
-    second = _run_pipeline(b)
+def _run_pipeline(workdir, monkeypatch) -> dict[str, bytes]:
+    """The README quickstart, ``scripts/run_pipeline.py``: every artifact it writes."""
+    script = REPO / "scripts" / "run_pipeline.py"
+    monkeypatch.setattr(sys, "argv", ["run_pipeline.py", "--data", str(DATA_DIR),
+                                      "--out", str(workdir), "--seed", "0"])
+    runpy.run_path(str(script), run_name="__main__")
+    return {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+
+
+def test_11_end_to_end_determinism(tmp_path, capsys, monkeypatch):
+    first = _run_pipeline(tmp_path / "a", monkeypatch)
+    second = _run_pipeline(tmp_path / "b", monkeypatch)
     capsys.readouterr()  # drop pipeline stdout
-    identical = {name: first[name] == second[name] for name in first}
+    identical = {name: first[name] == second.get(name) for name in first}
     check(
         "end-to-end determinism",
-        all(identical.values()),
+        len(first) == len(second) == QUICKSTART_ARTIFACTS and all(identical.values()),
         f"byte-identical artifacts on repeated runs: {identical}",
     )
 

@@ -2,6 +2,7 @@
 
 import base64
 import contextlib
+import dataclasses
 import datetime as dt
 import io
 import json
@@ -236,6 +237,32 @@ class TestExitCodes:
                               "of freedom per refit, got dof=1")
         code, out, _ = run(capsys, "irf", str(model), "--replications", "100", "--no-orth")
         assert code == 0 and out
+
+    def test_granger_singular_restriction_covariance_exits_2(self, dataset_fit, tmp_path,
+                                                              capsys):
+        resid = np.array(dataset_fit.residuals)
+        resid[:, dataset_fit.var_names.index("anxious")] = 0.0
+        model = tmp_path / "m.json"
+        sv.save_model(dataclasses.replace(dataset_fit, residuals=resid), model)
+        code, out, err = run(capsys, "granger", str(model), "--causing", "score")
+        assert code == 2 and out == ""
+        assert err.startswith("error: restriction covariance is singular: matrix is not "
+                              "positive definite: pivot 0 is 0.000e+00")
+        assert "Traceback" not in err
+
+    def test_simulate_indefinite_innovation_cov_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"var_names": ["x", "y", "z"], "p": 1,
+                                    "intercept": [0.0, 0.0, 0.0],
+                                    "coef": [(0.5 * np.eye(3)).tolist()],
+                                    "innovation_cov": [[1.0, 0.0, 0.5], [0.0, 1.0, 2.0],
+                                                       [0.5, 2.0, 1.0]]}))
+        code, out, err = run(capsys, "simulate", "--spec", str(spec), "--t", "30")
+        assert code == 2 and out == ""
+        assert err.startswith("error: corrupted process document: innovation covariance is not "
+                              "symmetric positive definite: matrix is not positive definite: "
+                              "pivot 2 is -3.250e+00")
+        assert "Traceback" not in err
 
     def test_select_order_limit_is_a_count(self, analysis_inputs, capsys):
         code, out, err = run(capsys, "select-order", analysis_inputs["merged"],

@@ -1,12 +1,13 @@
 """Granger causality and F-distribution helper tests."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import sleepvar as sv
-from sleepvar.errors import DataError
+from sleepvar.errors import DataError, NumericError
 from sleepvar.inference import f_cdf, f_ppf, f_sf
 
 from conftest import VAR2_SPEC
@@ -151,6 +152,17 @@ class TestGrangerTest:
         fit0 = sv.fit_var(sv.simulate_var(PLANTED, 300, seed=1), 0)
         with pytest.raises(DataError, match="lag order"):
             sv.granger_test(fit0, "x", "y")
+
+    def test_singular_restriction_covariance_names_the_pivot(self, dataset_fit):
+        # a zero residual column zeroes "anxious"'s rows of sigma_u, so the
+        # restrictions on its equation (the 3rd and 4th at p = 2) have no variance
+        resid = np.array(dataset_fit.residuals)
+        resid[:, dataset_fit.var_names.index("anxious")] = 0.0
+        fit = dataclasses.replace(dataset_fit, residuals=resid)
+        with pytest.raises(NumericError) as err:
+            sv.granger_test(fit, "score", ("depressed", "anxious"))
+        assert str(err.value) == ("restriction covariance is singular: matrix is not positive "
+                                  "definite: pivot 2 is 0.000e+00")
 
     def test_affine_rescaling_invariance(self):
         frame = sv.simulate_var(VAR2_SPEC, 600, seed=7)

@@ -286,6 +286,42 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError) as err:
             cholesky_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert err.value.pivot == 1
+        # the failing pivot first, in the middle and last of a 5x5 matrix: the
+        # leading block before it is the identity, so d = a_jj - a_j,j-1^2 exactly
+        for j, diagonal, d in ((0, -1.0, "-1.000e+00"), (2, 1.0, "-3.000e+00"),
+                               (4, 1.5, "-2.500e+00")):
+            a = np.eye(5)
+            a[j, j] = diagonal
+            if j:
+                a[j, j - 1] = a[j - 1, j] = 2.0
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                cholesky_lower(a)
+            assert (err.value.pivot, err.value.index) == (j, ())
+            assert str(err.value) == f"matrix is not positive definite: pivot {j} is {d}"
+            # in a stack, the failing matrix is named by its index
+            stack = np.stack([np.eye(5), a, np.eye(5), a])
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                cholesky_lower(stack.reshape(2, 2, 5, 5))
+            assert (err.value.pivot, err.value.index) == (j, (0, 1))
+
+    def test_stack_matches_single_calls_and_numpy(self):
+        gen = substream(21, 0)
+        for k in (1, 2, 5):
+            b = gen.standard_normal((6, k, 3 * k))
+            stack = b @ np.swapaxes(b, -1, -2) / (3 * k)
+            factors = cholesky_lower(stack)
+            assert factors.shape == stack.shape
+            for one, factor in zip(stack, factors):
+                assert factor.tobytes() == cholesky_lower(one).tobytes()
+                assert factor.tobytes() == np.linalg.cholesky(one).tobytes()
+            assert cholesky_lower(stack.reshape(2, 3, k, k)).tobytes() == factors.tobytes()
+
+    def test_stack_checks_each_matrix(self):
+        stack = np.stack([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]])
+        with pytest.raises(DataError, match="symmetric"):
+            cholesky_lower(stack)
+        with pytest.raises(DataError, match="square"):
+            cholesky_lower(np.ones((3, 2, 3)))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(DataError, match="symmetric"):
