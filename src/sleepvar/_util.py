@@ -123,7 +123,8 @@ def load_document(
     The top level must be an object whose ``version`` (1 when absent) is one
     of :data:`READABLE_VERSIONS` and which holds every ``required`` field.  Each
     fault found here, or raised by ``build`` as TypeError, ValueError or
-    DataError, becomes ``ModelFormatError("corrupted <what> document: ...")``.
+    DataError, and a nesting too deep to decode (RecursionError), becomes
+    ``ModelFormatError("corrupted <what> document: ...")``.
     """
     try:
         doc = json.loads(read_text(source))
@@ -137,7 +138,7 @@ def load_document(
             if name not in doc:
                 raise DataError(f"missing field {name!r}")
         return build(doc)
-    except (TypeError, ValueError, DataError) as exc:
+    except (TypeError, ValueError, RecursionError, DataError) as exc:
         raise ModelFormatError(f"corrupted {what} document: {exc}")
 
 
@@ -161,11 +162,22 @@ def csv_text(header: Sequence[str], columns: Sequence[Sequence],
 
 def read_text(source: TextSource) -> str:
     """The whole text of a path (UTF-8, a leading BOM dropped, line ends kept)
-    or of an already-open file object."""
+    or of an already-open file object.
+
+    A path whose bytes are not UTF-8 raises :class:`DataError` at the line
+    of the first faulty byte, lines ending at LF, CRLF or a lone CR as in
+    the CSV reader.
+    """
     if hasattr(source, "read"):
         return source.read()  # type: ignore[union-attr]
     with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            before = exc.object[:exc.start]
+            line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+            raise DataError(f"line {line}: not UTF-8 text "
+                            f"(byte {exc.object[exc.start]:#04x}: {exc.reason})") from None
 
 
 def write_text(sink: TextSource, text: str) -> None:

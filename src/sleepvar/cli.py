@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__, frame as fr, inference, irf as irf_mod, report, simulate, stationarity, svgplot, var
 from ._util import write_text
 from .errors import SleepVarError
+from .linalg import one_blas_thread
 
 
 class _UsageError(Exception):
@@ -291,7 +292,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with one_blas_thread:
+            return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print("run 'sleepvar --help' for usage", file=sys.stderr)

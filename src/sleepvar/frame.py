@@ -127,7 +127,11 @@ class _Rows:
 
     def __init__(self, source: TextSource, expected: Sequence[str] | None):
         """``expected`` is the exact header, or None for a frame CSV's."""
-        self.records = list(csv.reader(io.StringIO(read_text(source), newline="")))
+        reader = csv.reader(io.StringIO(read_text(source), newline=""))
+        try:
+            self.records = list(reader)
+        except csv.Error as exc:  # a field over csv's size limit, say
+            raise DataError(f"line {reader.line_num}: {exc}") from None
         self.header = self.records[0] if self.records else None
         if expected is None:
             if not self.header or self.header[0].strip() != "date" or len(self.header) < 2:

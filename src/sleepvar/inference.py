@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DataError, NotPositiveDefiniteError, NumericError
-from .linalg import cholesky_lower
+from .linalg import cholesky_lower, one_blas_thread
 from .var import VarFit
 
 # Stopping rule of the incomplete-beta continued fraction (relative change
@@ -262,6 +262,7 @@ def _as_name_tuple(fit: VarFit, names, what: str) -> tuple[str, ...]:
     return names
 
 
+@one_blas_thread
 def granger_test(
     fit: VarFit,
     causing: str | Sequence[str],

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NotPositiveDefiniteError, NumericError
-from .linalg import cholesky_lower, rank_message, solve_augmented
+from .linalg import cholesky_lower, one_blas_thread, rank_message, solve_augmented
 from .simulate import DEFAULT_BURN_IN, iterate_paths, substream
 from .var import VarFit, _lagged_design, unconditional_mean
 
@@ -118,6 +118,7 @@ def orthogonalized_irf(fit: VarFit, horizon: int) -> np.ndarray:
     return ma_coefficients(fit, horizon) @ cholesky_lower(fit.sigma_u)
 
 
+@one_blas_thread
 def irf_with_bands(
     fit: VarFit,
     horizon: int = 10,

@@ -22,12 +22,31 @@ One workspace query serves a whole stack, with the optimal block size
 numpy's own QR uses, so R is bit-identical to that QR's ``mode="r"``.
 Every Cholesky factor in the package is one LAPACK ``dpotrf`` per matrix,
 of one or a stack, in :func:`cholesky_lower`.
+
+:data:`one_blas_thread` holds numpy's OpenBLAS at one thread while sleepvar
+computes: the CLI's subcommands, ``fit_var``, ``granger_test``,
+``irf_with_bands``, ``simulate_var`` and :func:`augmented_r` itself (so
+every QR, the order search's and the ADF test's included) run under it.  Threaded BLAS gains nothing on
+matrices this small and loses to contention, and LAPACK's blocked QR of a
+design wider than 128 columns sums in another order when its BLAS calls
+thread, so one thread also makes every R factor the same bits at any
+thread count.  The thread count is process-wide: the first entry saves the
+caller's count and the last exit restores it, so other threads of a host
+process run single-threaded BLAS while a sleepvar call is active.  Where
+numpy ships no OpenBLAS with a thread setter (MKL, Accelerate, other
+wheel layouts), :data:`HOLDS_BLAS_THREADS` is False and the guard does
+nothing.
+
 Malformed input raises :class:`DataError`.  Everything here is safe for
 concurrent use, and nothing but ``overwrite_a=True`` writes to an argument.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +55,73 @@ from numpy.linalg import lapack_lite
 from .errors import (
     ConvergenceError, DataError, NotPositiveDefiniteError, SingularDesignError, SleepVarError,
 )
+
+# Prefixes of the OpenBLAS thread setter and getter in numpy's wheels:
+# scipy_openblas_{set,get}_num_threads64_ from numpy 2.0, and
+# openblas_{set,get}_num_threads64_ before.
+_OPENBLAS_PREFIXES = ("scipy_openblas", "openblas")
+
+
+def _openblas_threads():
+    """The (set, get) thread-count functions of the OpenBLAS numpy has
+    loaded from its ``numpy.libs`` directory, or None if there is none."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(name for name in os.listdir(libs) if "openblas" in name)
+    except OSError:
+        return None
+    for name in names:
+        try:  # a library numpy has not loaded is not loaded here either
+            lib = ctypes.CDLL(os.path.join(libs, name), mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for prefix in _OPENBLAS_PREFIXES:
+            set_threads = getattr(lib, f"{prefix}_set_num_threads64_", None)
+            get_threads = getattr(lib, f"{prefix}_get_num_threads64_", None)
+            if set_threads is not None and get_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+class OneBlasThread(contextlib.ContextDecorator):
+    """Context and decorator that holds BLAS at one thread while any entry is open.
+
+    ``threads`` is a (set, get) pair of thread-count functions, or None for
+    a guard that does nothing.  Entries are counted under a lock, so nested
+    and concurrent entries share one hold: the first entry saves the
+    caller's thread count and sets one thread, and the last exit restores
+    the saved count, also when the block raises.
+    """
+
+    def __init__(self, threads):
+        self.threads = threads
+        self._lock = threading.Lock()
+        self._entries = 0
+        self._saved = 1
+
+    def __enter__(self):
+        with self._lock:
+            if self._entries == 0 and self.threads is not None:
+                set_threads, get_threads = self.threads
+                self._saved = get_threads()
+                if self._saved != 1:
+                    set_threads(1)
+            self._entries += 1
+        return self
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._entries -= 1
+            if self._entries == 0 and self.threads is not None and self._saved != 1:
+                self.threads[0](self._saved)
+        return False
+
+
+# The guard over numpy's own OpenBLAS, and whether it holds the thread count.
+one_blas_thread = OneBlasThread(_openblas_threads())
+HOLDS_BLAS_THREADS = one_blas_thread.threads is not None
 
 # Relative tolerance below which an R diagonal marks the design rank deficient.
 RANK_RTOL = 1e-10
@@ -89,6 +175,7 @@ def deficient_columns(r: np.ndarray, m: int) -> np.ndarray:
     return diag <= RANK_RTOL * diag.max(axis=-1, keepdims=True, initial=0.0)
 
 
+@one_blas_thread
 def augmented_r(augmented, m: int, overwrite_a: bool = False) -> np.ndarray:
     """R factors (no Q) of augmented matrices [X | Y], shape (..., n, m+q),
     X in the first ``m`` columns and leading axes stacking problems; n >= m.

@@ -25,7 +25,8 @@ from ._util import (
 from .errors import DataError, NotPositiveDefiniteError, NumericError, SingularDesignError
 from .frame import SeriesFrame
 from .linalg import (
-    augmented_r, deficient_columns, is_symmetric, log_det_pd, solve_augmented, stability_radius,
+    augmented_r, deficient_columns, is_symmetric, log_det_pd, one_blas_thread, solve_augmented,
+    stability_radius,
 )
 
 CRITERIA = ("aic", "bic", "fpe", "hqic")
@@ -238,6 +239,7 @@ def _require_full_rank(deficient: np.ndarray, names) -> None:
         )
 
 
+@one_blas_thread
 def fit_var(frame: SeriesFrame, p: int) -> VarFit:
     """Estimate a VAR(p) on a fully-imputed frame (no missing cells).
 

@@ -133,6 +133,29 @@ class TestExitCodes:
         code, _, err = run(capsys, "ingest", "--oura", str(bad))
         assert code == 2 and "malformed date" in err
 
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])
+    def test_non_utf8_csv_is_data_error(self, tmp_path, capsys, eol):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(eol.join([b"date,score", b"2020-01-01,50", b"2020-01-02,5\xff1", b""]))
+        code, out, err = run(capsys, "describe", str(bad))
+        assert code == 2 and out == ""
+        assert err == "error: line 3: not UTF-8 text (byte 0xff: invalid start byte)\n"
+
+    def test_oversized_csv_field_is_data_error(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text("date,score\n2020-01-01," + "5" * 140_000 + "\n")
+        code, out, err = run(capsys, "ingest", "--oura", str(big))
+        assert code == 2 and out == ""
+        assert err == "error: line 2: field larger than field limit (131072)\n"
+
+    def test_deeply_nested_model_is_data_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code, out, err = run(capsys, "granger", str(deep), "--causing", "score")
+        assert code == 2 and out == ""
+        assert err.startswith("error: corrupted model document: maximum recursion depth")
+        assert "Traceback" not in err
+
     def test_fit_on_missing_cells_is_data_error(self, tmp_path, capsys):
         merged = tmp_path / "m.csv"
         run(capsys, "ingest", "--oura", SLEEP, "--impute", "none", "-o", str(merged))

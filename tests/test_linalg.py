@@ -1,9 +1,12 @@
 """Linear-algebra kernel tests with independent pure-Python oracles."""
 
 import datetime as dt
+import inspect
+import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -15,16 +18,21 @@ from hypothesis import strategies as st
 import sleepvar as sv
 from sleepvar.errors import DataError, NotPositiveDefiniteError, SingularDesignError
 from sleepvar.linalg import (
+    HOLDS_BLAS_THREADS,
+    OneBlasThread,
     augmented_r,
     cholesky_lower,
     companion_matrix,
     log_det_pd,
+    one_blas_thread,
     solve_augmented,
     solve_least_squares,
     spectral_radius,
 )
 from sleepvar.simulate import substream
 from sleepvar.var import _lagged_design
+
+from conftest import VAR2_SPEC
 
 
 def gauss_solve(a, b):
@@ -219,17 +227,62 @@ print(failed)
 """
 
 
+def wide_design_digests(merged_csv: str) -> dict:
+    """sha256 digests of two results on designs wider than 128 columns, where
+    LAPACK's blocked QR threads its BLAS calls: the R factor of a 3620x156
+    order-search design (a 10-year session at 30 lags), and the stdout of
+    ``select-order --maxlags 30 --json`` on ``merged_csv``."""
+    import contextlib
+    import hashlib
+    import io
+
+    from sleepvar.cli import main
+    from sleepvar.linalg import augmented_r
+    from sleepvar.simulate import substream
+    from sleepvar.var import _lagged_design
+
+    r = augmented_r(_lagged_design(substream(12, 0).standard_normal((3650, 5)), 30), 151)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["select-order", merged_csv, "--maxlags", "30", "--json"])
+    return {"R": hashlib.sha256(r.tobytes()).hexdigest(),
+            "select-order": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+def run_child(threads: str, script: str, *argv: str) -> str:
+    """Run ``script`` in a fresh interpreter with ``threads`` BLAS threads; its stdout."""
+    src = str(Path(sv.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.fixture(scope="module")
+def merged_csv(tmp_path_factory, dataset_frame) -> str:
+    path = tmp_path_factory.mktemp("blas") / "merged.csv"
+    sv.write_frame_csv(dataset_frame, path)
+    return str(path)
+
+
 class TestAugmentedR:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_equals_numpy_qr_bit_for_bit(self, threads):
-        src = str(Path(sv.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", QR_PARITY_SCRIPT],
-                              env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert run_child(threads, QR_PARITY_SCRIPT) == "[]"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_wide_designs_same_bits_at_any_thread_count(self, threads, merged_csv):
+        # the guard holds BLAS at one thread inside sleepvar, so a child at
+        # either thread count reproduces this process's bits
+        if not HOLDS_BLAS_THREADS:
+            pytest.skip("numpy's BLAS exports no thread setter here")
+        script = (inspect.getsource(wide_design_digests)
+                  + "import json, sys\nprint(json.dumps(wide_design_digests(sys.argv[1])))")
+        got = json.loads(run_child(threads, script, merged_csv))
+        assert got == wide_design_digests(merged_csv)
 
     def test_default_leaves_argument_untouched(self):
         aug = augmented_stack(substream(11, 0).standard_normal((3, 90, 4)), 2)
@@ -271,6 +324,96 @@ class TestAugmentedR:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * design_bytes
+
+
+class FakeThreads:
+    """A (set, get) pair over a plain count, recording every count set."""
+
+    def __init__(self, count: int):
+        self.count, self.history = count, []
+
+    def set(self, n: int) -> None:
+        self.count = n
+        self.history.append(n)
+
+    def get(self) -> int:
+        return self.count
+
+
+class TestOneBlasThread:
+    @pytest.mark.skipif(not HOLDS_BLAS_THREADS, reason="numpy's BLAS exports no thread setter")
+    def test_restores_the_callers_count_after_nested_and_raising_entries(self, dataset_frame):
+        set_threads, get_threads = one_blas_thread.threads
+        before = get_threads()
+        set_threads(2)
+        try:
+            with one_blas_thread:
+                assert get_threads() == 1
+                with one_blas_thread:
+                    assert get_threads() == 1
+                assert get_threads() == 1  # the inner exit is not the last
+            assert get_threads() == 2
+            with pytest.raises(DataError, match="lag order"):
+                sv.fit_var(dataset_frame, -1)
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+
+    def test_concurrent_entries_share_one_hold(self):
+        fake = FakeThreads(4)
+        guard = OneBlasThread((fake.set, fake.get))
+        seen, errors = set(), []
+
+        def work():
+            try:
+                for _ in range(300):
+                    with guard:
+                        with guard:
+                            seen.add(fake.count)
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers) and not errors
+        assert seen == {1}  # no entry ran with the caller's count
+        assert fake.count == 4 and guard._entries == 0
+        # every hold set one thread and restored four, in that order
+        assert fake.history[0::2] == [1] * (len(fake.history) // 2)
+        assert fake.history[1::2] == [4] * (len(fake.history) // 2)
+
+    def test_without_a_setter_it_does_nothing_and_results_hold(self, monkeypatch,
+                                                                 dataset_frame):
+        def results():
+            fit = sv.fit_var(dataset_frame, 2)
+            return (sv.select_order(dataset_frame, 15).table, fit.params_matrix(),
+                    sv.adf_test(dataset_frame.column("score")).statistic,
+                    sv.granger_test(fit, "score", "depressed").statistic,
+                    sv.irf_with_bands(fit, horizon=4, replications=100, seed=3).upper,
+                    sv.simulate_var(VAR2_SPEC, 50, seed=1).values)
+
+        held = results()
+        real = one_blas_thread.threads
+        monkeypatch.setattr(one_blas_thread, "threads", None)
+        if real is not None:  # the count stays as the caller set it
+            set_threads, get_threads = real
+            before = get_threads()
+            set_threads(2)
+            try:
+                with one_blas_thread:
+                    assert get_threads() == 2
+            finally:
+                set_threads(before)
+        for before, after in zip(held, results()):
+            assert np.array_equal(before, after)
 
 
 class TestCholesky:
