@@ -11,6 +11,7 @@ import numbers
 import os
 import re
 import stat
+from reprlib import repr as brief  # a repr cut to a few dozen characters
 from typing import IO, Callable, Sequence, TypeVar, Union
 
 import numpy as np
@@ -41,14 +42,14 @@ def checked_names(names, what: str) -> tuple[str, ...]:
     """``names`` as a tuple: a list or tuple of one or more distinct, non-empty strings."""
     if not (isinstance(names, (list, tuple)) and names
             and all(isinstance(n, str) and n for n in names) and len(set(names)) == len(names)):
-        raise DataError(f"{what} must be one or more distinct, non-empty strings, got {names!r}")
+        raise DataError(f"{what} must be one or more distinct, non-empty strings, got {brief(names)}")
     return tuple(names)
 
 
 def checked_count(value, what: str) -> int:
     """``value`` as an int: a non-negative integer (not a bool, float or string)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise DataError(f"{what} must be a non-negative integer, got {value!r}")
+        raise DataError(f"{what} must be a non-negative integer, got {brief(value)}")
     return int(value)
 
 
@@ -70,10 +71,10 @@ def _unpacked(value: dict, what: str, shape: tuple[int, ...]) -> np.ndarray:
         raise DataError(f"{what} must be an array of numbers or hold 'shape' and 'float64le'")
     dims, text = value["shape"], value["float64le"]
     if not isinstance(dims, list):
-        raise DataError(f"{what} shape must be a list of counts, got {dims!r}")
+        raise DataError(f"{what} shape must be a list of counts, got {brief(dims)}")
     dims = tuple(checked_count(n, f"{what} shape entry") for n in dims)
     if dims != shape:
-        raise DataError(f"{what} must have shape {shape}, got {dims}")
+        raise DataError(f"{what} must have shape {brief(shape)}, got {brief(dims)}")
     if not isinstance(text, str):
         raise DataError(f"{what} float64le must be a base64 string")
     try:
@@ -81,7 +82,8 @@ def _unpacked(value: dict, what: str, shape: tuple[int, ...]) -> np.ndarray:
     except ValueError:
         raise DataError(f"{what} float64le is not valid base64") from None
     if len(data) != (need := 8 * math.prod(dims)):
-        raise DataError(f"{what} float64le holds {len(data)} bytes, shape {dims} needs {need}")
+        raise DataError(f"{what} float64le holds {len(data)} bytes, "
+                        f"shape {brief(dims)} needs {brief(need)}")
     return np.frombuffer(data, dtype="<f8").reshape(dims)
 
 
@@ -109,7 +111,7 @@ def frozen_array(value, what: str, shape: tuple[int, ...]) -> np.ndarray:
     if arr.size == 0 and 0 in shape:
         arr = arr.reshape(shape)
     if arr.shape != shape:
-        raise DataError(f"{what} must have shape {shape}, got {arr.shape}")
+        raise DataError(f"{what} must have shape {brief(shape)}, got {brief(arr.shape)}")
     if not np.isfinite(arr).all():
         raise DataError(f"{what} contains non-finite entries")
     return freeze(arr)

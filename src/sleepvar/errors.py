@@ -29,13 +29,12 @@ class SingularDesignError(NumericError):
 class NotPositiveDefiniteError(NumericError):
     """A matrix that must be positive definite is not.
 
-    ``pivot`` is the first non-positive Cholesky pivot; ``index`` the matrix's place in a stack.
+    ``pivot`` is the first non-positive Cholesky pivot.
     """
 
-    def __init__(self, message: str, pivot: int, index: tuple[int, ...] = ()):
+    def __init__(self, message: str, pivot: int):
         super().__init__(message)
         self.pivot = pivot
-        self.index = index
 
 
 class ConvergenceError(NumericError):

@@ -21,6 +21,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
+from reprlib import repr as brief
 from typing import Sequence
 
 import numpy as np
@@ -96,7 +97,7 @@ class SeriesFrame:
         try:
             return self.names.index(name)
         except ValueError:
-            raise DataError(f"unknown column {name!r}; frame has {self.names}") from None
+            raise DataError(f"unknown column {brief(name)}; frame has {brief(self.names)}") from None
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.index_of(name)]

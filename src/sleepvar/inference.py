@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from reprlib import repr as brief
 from typing import Sequence
 
 import numpy as np
@@ -255,10 +256,10 @@ def _as_name_tuple(fit: VarFit, names, what: str) -> tuple[str, ...]:
     if not names:
         raise DataError(f"{what} set must be non-empty")
     if len(set(names)) != len(names):
-        raise DataError(f"{what} set has duplicates: {names}")
+        raise DataError(f"{what} set has duplicates: {brief(names)}")
     for n in names:
         if n not in fit.var_names:
-            raise DataError(f"unknown variable {n!r}; model has {fit.var_names}")
+            raise DataError(f"unknown variable {brief(n)}; model has {brief(fit.var_names)}")
     return names
 
 
@@ -333,7 +334,7 @@ def granger_test(
 def granger_all_pairs(fit: VarFit, causing: str, alpha: float = 0.05) -> list[GrangerResult]:
     """One test per remaining variable, in the fitted column order."""
     if causing not in fit.var_names:
-        raise DataError(f"unknown variable {causing!r}; model has {fit.var_names}")
+        raise DataError(f"unknown variable {brief(causing)}; model has {brief(fit.var_names)}")
     if fit.n_vars < 2:
         raise DataError("all-pairs testing needs at least two variables")
     return [

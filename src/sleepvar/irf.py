@@ -19,15 +19,17 @@ block the refits run in stacks of about :data:`REFIT_STACK_BYTES` of
 design: each stack's lagged designs come from the estimator's own builder,
 and the estimator's own solver (:func:`~sleepvar.linalg.solve_augmented`,
 one LAPACK ``dgeqrf`` per refit, in place on the stack's freshly built
-designs) gives the coefficients, residual cross-products and rank mask.
-The MA recursion and the orthogonalization then run over the whole stack,
-one LAPACK ``dpotrf`` per refit in :func:`~sleepvar.linalg.cholesky_lower`,
-which also factors ``sigma_u`` once for the point responses and the shocks.
+designs) gives the coefficients, R and the rank mask.  The MA recursion
+and the orthogonalization then run over the whole stack; a refit's
+Cholesky factor is R_yy' with the signs of R_yy's diagonal, over sqrt(dof).
+:func:`~sleepvar.linalg.cholesky_lower` factors ``sigma_u`` once, for the
+point responses and the shocks.
 Only the response draws the percentiles need are kept for every
 replication, so memory does not grow with the paths of all replications.
 A replication's results do not depend on the block or stack it lands in,
-nor on the BLAS thread count.  A rank-deficient or non-positive-definite
-refit is masked and counted in ``IrfResult.n_failed``; a fit whose refits
+nor on the BLAS thread count.  A refit whose design, or (orthogonalized)
+whose R_yy, fails the rank rule is masked and counted in
+``IrfResult.n_failed``; a fit whose refits
 would keep no residual degree of freedom (fewer than K for orthogonalized
 bands, whose refit covariances would be singular) is rejected before any
 draw.
@@ -39,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NotPositiveDefiniteError, NumericError
-from .linalg import cholesky_lower, one_blas_thread, rank_message, solve_augmented
+from .errors import DataError, NumericError
+from .linalg import cholesky_lower, deficient_columns, one_blas_thread, rank_message, solve_augmented
 from .simulate import DEFAULT_BURN_IN, iterate_paths, substream
 from .var import VarFit, _lagged_design, unconditional_mean
 
@@ -85,20 +87,6 @@ def _ma_recursion(coef: np.ndarray, horizon: int) -> np.ndarray:
             acc += phi[..., h - i, :, :] @ coef[..., i - 1, :, :]
         phi[..., h, :, :] = acc
     return phi
-
-
-def _orthogonalize(phi: np.ndarray, cov: np.ndarray, reasons: dict[int, str]) -> None:
-    """Right-multiply each stacked response ``phi[c]`` by the lower Cholesky
-    factor of ``cov[c]``, in place, skipping the refits named in ``reasons``;
-    a refit without a factor joins ``reasons`` and the rest are refactored."""
-    good = [c for c in range(len(phi)) if c not in reasons]
-    while True:
-        try:
-            factors = cholesky_lower(cov[good])
-            break
-        except NotPositiveDefiniteError as exc:
-            reasons[good.pop(exc.index[0])] = str(exc)
-    phi[good] = phi[good] @ factors[:, None]
 
 
 def ma_coefficients(fit: VarFit, horizon: int) -> np.ndarray:
@@ -194,14 +182,23 @@ def irf_with_bands(
                 shocks[j] = centered[gen.integers(0, t_eff, n_steps)]
         sample = iterate_paths(fit.intercept, fit.coef, shocks, mean)[:, DEFAULT_BURN_IN:]
         for start in range(0, b, stack):
-            augmented = _lagged_design(sample[start : start + stack], p)
-            solved = solve_augmented(augmented, m, overwrite_a=True)
+            # the design goes straight in, so it is freed before the next one is built
+            solved = solve_augmented(_lagged_design(sample[start : start + stack], p), m,
+                                     overwrite_a=True)
             coef = solved.coefficients[:, 1:].reshape(-1, p, k, k).transpose(0, 1, 3, 2)
             phi = _ma_recursion(coef, horizon)
             reasons = {int(c): rank_message(int(np.argmax(solved.deficient[c])))
                        for c in np.flatnonzero(solved.deficient.any(axis=1))}
             if orthogonalized:
-                _orthogonalize(phi, solved.residual_cross / dof, reasons)
+                # R_yy' R_yy is the residual cross-product, so R_yy' with its
+                # diagonal's signs, over sqrt(dof), factors the refit's covariance
+                r_yy = solved.r[:, m:, m:]
+                singular = deficient_columns(r_yy, k)
+                for c in np.flatnonzero(singular.any(axis=1)):
+                    reasons.setdefault(int(c), "residual covariance is singular: residual "
+                                       f"{np.argmax(singular[c])} is collinear with earlier ones")
+                signs = np.sign(np.diagonal(r_yy, axis1=1, axis2=2))
+                phi = phi @ (np.swapaxes(r_yy, 1, 2) * signs[:, None, :] / np.sqrt(dof))[:, None]
             at = first + start
             draws[at : at + phi.shape[0]] = phi
             for c in sorted(reasons):

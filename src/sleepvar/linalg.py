@@ -20,8 +20,8 @@ a caller that owns a freshly built matrix passes ``overwrite_a=True`` and
 no copy of it is made; any other input gets one private column-major copy.
 One workspace query serves a whole stack, with the optimal block size
 numpy's own QR uses, so R is bit-identical to that QR's ``mode="r"``.
-Every Cholesky factor in the package is one LAPACK ``dpotrf`` per matrix,
-of one or a stack, in :func:`cholesky_lower`.
+Every covariance the package factors is one LAPACK ``dpotrf`` in
+:func:`cholesky_lower`; the bootstrap refits read their factors from R.
 
 :data:`one_blas_thread` holds numpy's OpenBLAS at one thread while sleepvar
 computes: the CLI's subcommands, ``fit_var``, ``granger_test``,
@@ -152,10 +152,9 @@ class LeastSquares(NamedTuple):
 class AugmentedSolve(NamedTuple):
     """Everything :func:`solve_augmented` reads from R, for one matrix or a stack."""
 
-    r: np.ndarray               # (..., min(n, m+q), m+q)
-    coefficients: np.ndarray    # (..., m, q), zero where rank deficient
-    residual_cross: np.ndarray  # (..., q, q), residuals' cross-product
-    deficient: np.ndarray       # (..., m), columns failing the rank rule
+    r: np.ndarray             # (..., min(n, m+q), m+q)
+    coefficients: np.ndarray  # (..., m, q), zero where rank deficient
+    deficient: np.ndarray     # (..., m), columns failing the rank rule
 
     def normal_matrix_inverse(self) -> np.ndarray:
         """(X'X)^-1 = R_xx^-1 R_xx^-T of a full-rank design, shape (..., m, m)."""
@@ -237,8 +236,7 @@ def solve_augmented(augmented, m: int, overwrite_a: bool = False) -> AugmentedSo
     r_xx[bad] = np.eye(m)  # keeps the solve defined; masked results are zeroed
     coef = np.linalg.solve(r_xx, r[..., :m, m:])
     coef[bad] = 0.0
-    r_yy = r[..., m:, m:]
-    return AugmentedSolve(r, coef, np.swapaxes(r_yy, -1, -2) @ r_yy, deficient)
+    return AugmentedSolve(r, coef, deficient)
 
 
 def solve_least_squares(design, targets) -> LeastSquares:
@@ -263,22 +261,21 @@ def solve_least_squares(design, targets) -> LeastSquares:
 
 
 def is_symmetric(a: np.ndarray) -> bool:
-    """Whether each matrix of ``a`` is symmetric to ``SYMMETRY_RTOL`` times its largest entry."""
-    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
-    asymmetry = np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1), initial=0.0)
-    return bool((asymmetry <= SYMMETRY_RTOL * np.maximum(scale, 1e-300)).all())
+    """Whether square ``a`` equals its transpose to ``SYMMETRY_RTOL`` times its largest entry."""
+    scale = np.abs(a).max(initial=0.0)
+    return bool(np.abs(a - a.T).max(initial=0.0) <= SYMMETRY_RTOL * max(scale, 1e-300))
 
 
 def cholesky_lower(m) -> np.ndarray:
     """Lower-triangular P with ``P @ P.T == m`` for a symmetric positive
-    definite (K, K) matrix, or for each matrix of a (..., K, K) stack.
+    definite (K, K) matrix.
 
     A matrix without a factor raises :class:`NotPositiveDefiniteError` with
-    its ``index`` in the stack and its ``pivot``, the first j whose leading
-    block a[:j+1, :j+1] has none, worded with that block's Schur complement.
+    its ``pivot``, the first j whose leading block a[:j+1, :j+1] has none,
+    worded with that block's Schur complement.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DataError(f"matrix must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise DataError("matrix contains non-finite entries")
@@ -287,18 +284,17 @@ def cholesky_lower(m) -> np.ndarray:
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        for index in np.ndindex(a.shape[:-2]):
-            low, one = np.zeros((0, 0)), a[index]
-            for j in range(len(one)):
-                try:
-                    low = np.linalg.cholesky(one[: j + 1, : j + 1])
-                except np.linalg.LinAlgError:
-                    w = np.linalg.solve(low, one[:j, j])
-                    raise NotPositiveDefiniteError(
-                        f"matrix is not positive definite: pivot {j} is {one[j, j] - w @ w:.3e}",
-                        pivot=j, index=index,
-                    ) from None
-        raise  # unreachable: a stack fails only where one of its matrices does
+        low = np.zeros((0, 0))
+        for j in range(len(a)):
+            try:
+                low = np.linalg.cholesky(a[: j + 1, : j + 1])
+            except np.linalg.LinAlgError:
+                w = np.linalg.solve(low, a[:j, j])
+                raise NotPositiveDefiniteError(
+                    f"matrix is not positive definite: pivot {j} is {a[j, j] - w @ w:.3e}",
+                    pivot=j,
+                ) from None
+        raise  # unreachable: the whole matrix fails only where a leading block does
 
 
 def log_det_pd(m) -> float:

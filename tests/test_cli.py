@@ -202,6 +202,22 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "corrupted model document: var_names" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit, causing", [
+        (lambda doc: doc.update(p=10**400), "score"),  # echoed in the coef shape
+        (lambda doc: doc["var_names"].__setitem__(0, "v" * 5000), "nope"),
+    ], ids=["huge-p", "long-name"])
+    def test_error_message_caps_what_it_repeats(self, tmp_path, capsys, edit, causing):
+        merged, model = tmp_path / "m.csv", tmp_path / "model.json"
+        run(capsys, "ingest", "--oura", SLEEP, "--emood", MOOD, "-o", str(merged))
+        run(capsys, "fit", str(merged), "--lags", "2", "-o", str(model))
+        doc = json.loads(model.read_text())
+        edit(doc)
+        model.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "granger", str(model), "--causing", causing)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
+        assert "Traceback" not in err
+
     # 2**62 only: numpy refuses an array that large before allocating anything.
     @pytest.mark.parametrize("argv, burn_in, message", [
         (("simulate", "--spec", "{spec}", "--t", "5"), 2**62, f"burn_in + t = {2**62 + 5} steps"),

@@ -225,28 +225,42 @@ class TestIrfWithBands:
         assert res.n_failed == 0 and res.failures == ()
 
     def test_non_positive_definite_refit_is_masked_and_named(self, monkeypatch):
-        # one refit's residual cross-product is made indefinite: the stack's
-        # batched Cholesky fails, and only that replication may be dropped
+        # one refit's R_yy loses its last diagonal, so its residual covariance
+        # R_yy' R_yy / dof is singular: only that replication may be dropped
         fit = sv.fit_var(sv.simulate_var(VAR2_SPEC, 400, seed=6), 2)
         solve = irf_mod.solve_augmented
         stacks = []
 
-        def indefinite_second_refit(augmented, m, **kwargs):
+        def singular_second_refit(augmented, m, **kwargs):
             solved = solve(augmented, m, **kwargs)
             if not stacks:
-                solved.residual_cross[1] = np.diag([1.0, -1.0])
+                solved.r[1, -1, -1] = 0.0
             stacks.append(len(augmented))
             return solved
 
-        monkeypatch.setattr(irf_mod, "solve_augmented", indefinite_second_refit)
+        monkeypatch.setattr(irf_mod, "solve_augmented", singular_second_refit)
         res = sv.irf_with_bands(fit, horizon=6, replications=150, seed=4)
         assert stacks[0] > 2
         assert res.n_failed == 1
         assert len(res.failures) == 1
-        assert res.failures[0].startswith("replication 1: matrix is not positive definite: pivot 1 ")
+        assert res.failures[0] == ("replication 1: residual covariance is singular: "
+                                   "residual 1 is collinear with earlier ones")
         lower, upper = looped_bands(fit, 6, 0.95, 150, 4, skip={1})
         assert np.abs(res.lower - lower).max() <= 1e-12
         assert np.abs(res.upper - upper).max() <= 1e-12
+
+    def test_tiny_variable_keeps_every_refit(self, dataset_frame, dataset_fit):
+        # elevated * 1e-8 is the smallest power of ten the fit's own rank rule
+        # accepts (3e-9 fails at L1.elevated): the refits' R_yy rule must not
+        # be stricter, and the bands scale with the data, D times the unscaled
+        d = np.ones(dataset_frame.n_vars)
+        d[dataset_frame.index_of("elevated")] = 1e-8
+        scaled = sv.fit_var(dataclasses.replace(dataset_frame, values=dataset_frame.values * d), 2)
+        res = sv.irf_with_bands(scaled, horizon=10, replications=200, seed=0)
+        base = sv.irf_with_bands(dataset_fit, horizon=10, replications=200, seed=0)
+        assert res.n_failed == 0
+        for band, unscaled in ((res.lower, base.lower), (res.upper, base.upper)):
+            assert np.abs(band / d[:, None] - unscaled).max() <= 1e-12 * np.abs(unscaled).max()
 
     @pytest.mark.parametrize("which", ["dataset", "k2"])
     def test_bands_independent_of_block_partition(self, which, dataset_fit, monkeypatch):
