@@ -18,13 +18,13 @@ import dataclasses
 import functools
 import json
 import sys
+from reprlib import repr as brief
 
 import numpy as np
 
 from . import __version__, frame as fr, inference, irf as irf_mod, report, simulate, stationarity, svgplot, var
 from ._util import write_text
 from .errors import SleepVarError
-from .linalg import one_blas_thread
 
 
 class _UsageError(Exception):
@@ -34,6 +34,14 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 instead of argparse's default 2
         raise _UsageError(f"{self.prog}: {message}")
+
+
+def _os_error(exc: OSError) -> str:
+    """``str(exc)`` with the file names it echoes cut by ``reprlib.repr``."""
+    if exc.strerror is None:
+        return str(exc)
+    names = " -> ".join(brief(name) for name in (exc.filename, exc.filename2) if name is not None)
+    return f"[Errno {exc.errno}] {exc.strerror}" + (f": {names}" if names else "")
 
 
 def _sink(out: str | None):
@@ -292,8 +300,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        with one_blas_thread:
-            return args.func(args)
+        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print("run 'sleepvar --help' for usage", file=sys.stderr)
@@ -302,7 +309,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_os_error(exc)}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse --help / --version
         return int(exc.code or 0)

@@ -109,15 +109,16 @@ class SeriesFrame:
 # --- Text parsing ------------------------------------------------------------
 # A parser reads its text once through _Rows: one csv.reader split, the
 # header check, and the data rows as columns.  Each distinct cell of a value
-# column converts once (exports and frames repeat a few cells many times),
-# to its value or to None where a row check rejects it.  The parser then
-# builds one boolean mask over the rows per check, in the order a row is
-# checked: the date, then the duplicate date (sleep) or the contiguous grid
-# (frame), then the value cells from left to right.  _raise_first raises the
-# first faulty row's first failing check, the error a row-by-row parser
-# would raise; only then is the one faulty cell re-read to word it, and its
-# line counted.  Line numbers count CSV records as csv.reader yields them:
-# the header is line 1, and blank rows count.
+# column goes once through its kind's rule (exports and frames repeat a few
+# cells many times), rule(name, cell), which returns the cell's value or the
+# message of its fault.  The parser then builds one boolean mask over the
+# rows per check, in the order a row is checked: the date, then the
+# duplicate date (sleep) or the contiguous grid (frame), then the value
+# cells from left to right.  _raise_first raises the first faulty row's
+# first failing check, the error a row-by-row parser would raise; only then
+# is its line counted.  Line numbers count CSV records as csv.reader yields
+# them: the header is line 1, and blank rows count.  Every cell, name or
+# header a message echoes is cut by reprlib.repr.
 
 
 class _Rows:
@@ -140,7 +141,7 @@ class _Rows:
         elif self.header is None:
             raise DataError("empty file: missing header row")
         elif (header := [h.strip() for h in self.header]) != list(expected):
-            raise DataError(f"unexpected header {header!r}; expected {list(expected)!r}")
+            raise DataError(f"unexpected header {brief(header)}; expected {list(expected)!r}")
         rows = [row for row in self.records[1:] if any(map(str.strip, row))]
         if not rows:
             raise DataError("empty file: no data rows")
@@ -168,20 +169,21 @@ class _Rows:
 
     def date_check(self):
         return self.ordinals == 0, lambda i: (
-            f"malformed date {self.days[i].strip()!r} (expected YYYY-MM-DD)")
+            f"malformed date {brief(self.days[i].strip())} (expected YYYY-MM-DD)")
 
-    def values(self, convert, error):
-        """The value columns through ``convert`` as a (rows, columns) array,
-        and one check per column, left to right; ``error(j, cell)`` words a
-        cell of column ``j`` that ``convert`` maps to None."""
+    def values(self, rule, names):
+        """The value columns through ``rule(name, cell)``, one name per
+        column, as a (rows, columns) array, and one check per column, left to
+        right, worded by the rule's message for the faulty cell."""
         columns, checks = [], []
-        for j, column in enumerate(self.columns):
-            table = {cell: convert(cell) for cell in set(column)}
+        for name, column in zip(names, self.columns):
+            table = {cell: rule(name, cell) for cell in set(column)}
+            faults = {cell: value for cell, value in table.items() if isinstance(value, str)}
+            table.update(dict.fromkeys(faults, math.nan))
             columns.append(list(map(table.__getitem__, column)))
-            faulty = {cell for cell, value in table.items() if value is None}
-            mask = np.array([cell in faulty for cell in column]) if faulty else np.zeros(len(column), bool)
-            checks.append((mask, lambda i, j=j: error(j, self.columns[j][i].strip())))
-        return np.array(columns, dtype=float).T.copy(), checks  # None reads as NaN
+            mask = np.array([cell in faults for cell in column]) if faults else np.zeros(len(column), bool)
+            checks.append((mask, lambda i, column=column, faults=faults: faults[column[i]]))
+        return np.array(columns, dtype=float).T.copy(), checks
 
 
 def _ordinal(cell: str) -> int:
@@ -210,40 +212,31 @@ def _integer(text: str) -> int | None:
         return None
 
 
-def _score(text: str) -> float | None:
-    """A sleep score: NaN when blank, None unless an integer in range."""
-    if not text.strip():
+def _score(_: str, cell: str) -> float | str:
+    """A sleep score: NaN when blank, else an integer in range, or the fault's message."""
+    if not cell.strip():
         return math.nan
-    lo, hi = SLEEP_SCORE_RANGE
-    score = _integer(text)
-    return float(score) if score is not None and lo <= score <= hi else None
-
-
-def _score_error(_: int, cell: str) -> str:
     if (score := _integer(cell)) is None:
-        return f"sleep score must be an integer or empty, got {cell!r}"
+        return f"sleep score must be an integer or empty, got {brief(cell.strip())}"
     lo, hi = SLEEP_SCORE_RANGE
-    return f"sleep score {score} outside [{lo:.0f}, {hi:.0f}]"
+    if not lo <= score <= hi:
+        return f"sleep score {brief(score)} outside [{lo:.0f}, {hi:.0f}]"
+    return float(score)
 
 
-def _level(text: str) -> float | None:
-    """A mood level: None unless an integer 0-3."""
-    level = _integer(text)
-    return float(level) if level in MOOD_LEVELS else None
-
-
-def _level_error(j: int, cell: str) -> str:
+def _level(name: str, cell: str) -> float | str:
+    """A mood level: an integer 0-3, or the fault's message."""
     if (level := _integer(cell)) is None:
-        return f"{MOOD_VARIABLES[j]} must be an integer 0-3, got {cell!r}"
-    return f"{MOOD_VARIABLES[j]} value {level} outside 0-3"
+        return f"{name} must be an integer 0-3, got {brief(cell.strip())}"
+    return float(level) if level in MOOD_LEVELS else f"{name} value {brief(level)} outside 0-3"
 
 
-def _number(text: str) -> float | None:
-    """A frame cell: NaN when blank, None when malformed."""
+def _number(name: str, cell: str) -> float | str:
+    """A frame cell: NaN when blank, else a float, or the fault's message."""
     try:
-        return float(text) if text.strip() else math.nan
+        return float(cell) if cell.strip() else math.nan
     except ValueError:
-        return None
+        return f"malformed number {brief(cell.strip())} in {brief(name)}"
 
 
 def ingest_sleep(source: TextSource) -> SeriesFrame:
@@ -256,7 +249,7 @@ def ingest_sleep(source: TextSource) -> SeriesFrame:
     """
     rows = _Rows(source, ("date", "score"))
     ordinals = rows.ordinals
-    scores, score_checks = rows.values(_score, _score_error)
+    scores, score_checks = rows.values(_score, ("score",))
     # A stable sort keeps a date's rows in file order: all but the first repeat it.
     order = np.argsort(ordinals, kind="stable")
     repeated = np.zeros(ordinals.size, dtype=bool)
@@ -280,7 +273,7 @@ def ingest_mood(source: TextSource, absent_as_zero: bool = True) -> SeriesFrame:
     """
     rows = _Rows(source, ("date",) + MOOD_VARIABLES)
     ordinals = rows.ordinals
-    levels, level_checks = rows.values(_level, _level_error)
+    levels, level_checks = rows.values(_level, MOOD_VARIABLES)
     _raise_first(rows, [rows.date_check(), *level_checks])
 
     start = int(ordinals.min())
@@ -373,7 +366,7 @@ def describe(frame: SeriesFrame, name: str) -> SummaryStats:
     col = frame.column(name)
     present = col[~np.isnan(col)]
     if present.size == 0:
-        raise DataError(f"column {name!r} has no non-missing values")
+        raise DataError(f"column {brief(name)} has no non-missing values")
     sd = float(np.std(present, ddof=1)) if present.size > 1 else 0.0
     return SummaryStats(
         total=int(col.size),
@@ -410,9 +403,7 @@ def read_frame_csv(source: TextSource) -> SeriesFrame:
     rows = _Rows(source, None)
     names = tuple(h.strip() for h in rows.header[1:])
     first = int(rows.ordinals[0])
-    values, number_checks = rows.values(
-        _number, lambda j, cell: f"malformed number {cell!r} in {names[j]!r}"
-    )
+    values, number_checks = rows.values(_number, names)
     off_grid = rows.ordinals != first + np.arange(rows.ordinals.size)
 
     def off_grid_error(i: int) -> str:

@@ -42,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
-from .linalg import cholesky_lower, deficient_columns, one_blas_thread, rank_message, solve_augmented
+from .linalg import cholesky_lower, deficient_columns, rank_message, solve_augmented
 from .simulate import DEFAULT_BURN_IN, iterate_paths, substream
-from .var import VarFit, _lagged_design, unconditional_mean
+from .var import VarFit, _lagged_design, unconditional_mean, unstack_params
 
 INNOVATION_MODES = ("gaussian", "empirical")
 MIN_REPLICATIONS = 100
@@ -106,7 +106,6 @@ def orthogonalized_irf(fit: VarFit, horizon: int) -> np.ndarray:
     return ma_coefficients(fit, horizon) @ cholesky_lower(fit.sigma_u)
 
 
-@one_blas_thread
 def irf_with_bands(
     fit: VarFit,
     horizon: int = 10,
@@ -185,7 +184,7 @@ def irf_with_bands(
             # the design goes straight in, so it is freed before the next one is built
             solved = solve_augmented(_lagged_design(sample[start : start + stack], p), m,
                                      overwrite_a=True)
-            coef = solved.coefficients[:, 1:].reshape(-1, p, k, k).transpose(0, 1, 3, 2)
+            _, coef = unstack_params(solved.coefficients, p)
             phi = _ma_recursion(coef, horizon)
             reasons = {int(c): rank_message(int(np.argmax(solved.deficient[c])))
                        for c in np.flatnonzero(solved.deficient.any(axis=1))}

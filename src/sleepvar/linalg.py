@@ -23,16 +23,16 @@ numpy's own QR uses, so R is bit-identical to that QR's ``mode="r"``.
 Every covariance the package factors is one LAPACK ``dpotrf`` in
 :func:`cholesky_lower`; the bootstrap refits read their factors from R.
 
-:data:`one_blas_thread` holds numpy's OpenBLAS at one thread while sleepvar
-computes: the CLI's subcommands, ``fit_var``, ``granger_test``,
-``irf_with_bands``, ``simulate_var`` and :func:`augmented_r` itself (so
-every QR, the order search's and the ADF test's included) run under it.  Threaded BLAS gains nothing on
-matrices this small and loses to contention, and LAPACK's blocked QR of a
-design wider than 128 columns sums in another order when its BLAS calls
-thread, so one thread also makes every R factor the same bits at any
-thread count.  The thread count is process-wide: the first entry saves the
-caller's count and the last exit restores it, so other threads of a host
-process run single-threaded BLAS while a sleepvar call is active.  Where
+:data:`one_blas_thread` holds numpy's OpenBLAS at one thread around each
+call of :func:`augmented_r`, once per QR, and gives the caller's count back
+on exit.  The QR's Householder updates on long designs are the only BLAS
+work here that OpenBLAS threads; threading gains nothing on matrices this
+small and loses to contention, and LAPACK's blocked QR of a design wider
+than 128 columns sums in another order when its BLAS calls thread, so one
+thread also makes every R factor the same bits at any thread count.  The
+thread count is process-wide: the first entry saves the caller's count and
+the last exit restores it, so other threads of a host process run
+single-threaded BLAS while a QR is active.  Where
 numpy ships no OpenBLAS with a thread setter (MKL, Accelerate, other
 wheel layouts), :data:`HOLDS_BLAS_THREADS` is False and the guard does
 nothing.

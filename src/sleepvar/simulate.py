@@ -22,7 +22,7 @@ import numpy as np
 from ._util import TextSource, checked_count, checked_names, frozen_array, load_document
 from .errors import DataError, NotPositiveDefiniteError
 from .frame import SeriesFrame
-from .linalg import cholesky_lower, one_blas_thread, stability_radius
+from .linalg import cholesky_lower, stability_radius
 from .var import residual_covariances, unconditional_mean
 
 SIM_EPOCH = dt.date(2000, 1, 1)
@@ -118,7 +118,6 @@ def iterate_paths(
     return paths[p:, :, :b].transpose(2, 0, 1)
 
 
-@one_blas_thread
 def simulate_var(spec: VarProcessSpec, t: int, seed: int) -> SeriesFrame:
     """Sample ``t`` observations from the process, discarding the burn-in.
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from reprlib import repr as brief
 
 import numpy as np
 
@@ -25,8 +26,7 @@ from ._util import (
 from .errors import DataError, NotPositiveDefiniteError, NumericError, SingularDesignError
 from .frame import SeriesFrame
 from .linalg import (
-    augmented_r, deficient_columns, is_symmetric, log_det_pd, one_blas_thread, solve_augmented,
-    stability_radius,
+    augmented_r, deficient_columns, is_symmetric, log_det_pd, solve_augmented, stability_radius,
 )
 
 CRITERIA = ("aic", "bic", "fpe", "hqic")
@@ -51,9 +51,11 @@ def stack_params(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
 
 
 def unstack_params(stacked: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`stack_params`: the (K,) head and the (p, K, K) tail."""
-    k = stacked.shape[1]
-    return stacked[0], stacked[1:].reshape(p, k, k).transpose(0, 2, 1)
+    """Inverse of :func:`stack_params`: the (..., K) head and the (..., p, K, K)
+    tail of a (..., K*p+1, K) stack, leading axes stacking models."""
+    k = stacked.shape[-1]
+    tail = stacked[..., 1:, :].reshape(*stacked.shape[:-2], p, k, k)
+    return stacked[..., 0, :], np.swapaxes(tail, -1, -2)
 
 
 def residual_covariances(residuals: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -233,13 +235,12 @@ def _require_full_rank(deficient: np.ndarray, names) -> None:
         c = int(np.argmax(deficient))
         label = lag_labels(names, c // len(names) + 1)[c]  # enough lags to reach column c
         raise SingularDesignError(
-            f"design is rank deficient at column {label!r} "
+            f"design is rank deficient at column {brief(label)} "
             f"(e.g. a constant or duplicated variable); drop or fix that variable",
             column=label,
         )
 
 
-@one_blas_thread
 def fit_var(frame: SeriesFrame, p: int) -> VarFit:
     """Estimate a VAR(p) on a fully-imputed frame (no missing cells).
 

@@ -8,6 +8,8 @@ import io
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -214,6 +216,25 @@ class TestExitCodes:
         edit(doc)
         model.write_text(json.dumps(doc))
         code, out, err = run(capsys, "granger", str(model), "--causing", causing)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, argv", [
+        ("date,score\n{long},50\n", ("ingest", "--oura")),
+        ("date,score\n2020-01-01,{long}\n", ("ingest", "--oura")),
+        ("date,{long}\n2020-01-01,50\n", ("ingest", "--oura")),
+        ("date,depressed,anxious,irritable,elevated\n2020-01-01,{long},0,0,0\n", ("ingest", "--emood")),
+        ("date,a\n2020-01-01,{long}\n", ("describe",)),
+        ("{long}", ("describe",)),  # the path itself, echoed by the open error
+        ("date,a,{long}\n" + "".join(f"2020-01-{d:02d},{d % 3},5\n" for d in range(1, 29)),
+         ("fit", "--lags", "1")),  # the constant column's design label
+    ], ids=["date", "score", "header", "level", "number", "path", "rank-label"])
+    def test_csv_error_caps_what_it_repeats(self, tmp_path, capsys, text, argv):
+        long = "x" * 100_000
+        path = tmp_path / "long.csv"
+        path.write_text(text.format(long=long))
+        code, out, err = run(capsys, *argv, long if text == "{long}" else str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
         assert "Traceback" not in err
@@ -741,3 +762,159 @@ class TestDocumentFuzz:
     def test_simulate_spec(self, analysis_inputs, fields_json, field, value):
         self.run_edited(Path(analysis_inputs["spec"]).parent, fields_json["spec"], field, value,
                         ("simulate", "--spec", "{doc}", "--t", "5"))
+
+
+# --- Contract fuzz of cli.main: CSV inputs and argv ----------------------------
+# Whatever the input, the CLI exits 0, 1 (usage) or 2 (one `error:` line of
+# under 300 characters), never with a traceback, and never prints a NaN.
+
+CSV_ALPHABET = '0123456789-.e," \r\nxé'
+CSV_JUNK = st.text(CSV_ALPHABET, max_size=8)
+CSV_HEADERS = ["date,score", "date," + ",".join(sv.MOOD_VARIABLES), "date,x,x2"]
+# Cells every reader accepts, then cells some or all of them reject.
+CSV_CLEAN = st.sampled_from(["1", "2", "3"])
+CSV_VALUES = st.sampled_from(["", "0", "50", "101", "-1", "1.5", "-2e3", "1e999"]) | CSV_JUNK
+NOT_UTF8 = st.sampled_from([b"\xff", b"\xc3(", b"\x80", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A header, mostly one the readers know, and up to 30 clean rows of its
+    width, dated in a ten-day span or on a contiguous grid; then up to two
+    faults: a cell replaced, or a row of another width."""
+    header = draw(st.sampled_from(CSV_HEADERS) | st.sampled_from(CSV_HEADERS) | CSV_JUNK)
+    width = header.count(",") + 1
+    n = draw(st.integers(0, 30))
+    if draw(st.booleans()):  # a contiguous grid, as a frame needs
+        days = [str(dt.date(2020, 1, 1) + dt.timedelta(days=i)) for i in range(n)]
+    else:
+        days = draw(st.lists(st.dates(dt.date(2019, 12, 28), dt.date(2020, 1, 6)).map(str),
+                             min_size=n, max_size=n))
+    rows = [[day, *draw(st.lists(CSV_CLEAN, min_size=width - 1, max_size=width - 1))]
+            for day in days]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            row[draw(st.integers(0, len(row) - 1))] = draw(CSV_VALUES)
+        else:
+            row[1:] = draw(st.lists(CSV_VALUES, max_size=5))
+    end = draw(st.sampled_from(["", "\n", "\r\n"]))
+    return "\n".join([header, *map(",".join, rows)]) + end
+
+
+CSV_DOCUMENTS = st.one_of(
+    csv_texts().map(str.encode),
+    csv_texts().map(str.encode),
+    st.builds(lambda doc, bad, at: doc[:at] + bad + doc[at:],
+              csv_texts().map(str.encode), NOT_UTF8, st.integers(0, 400)),
+    st.binary(max_size=64),
+)
+CSV_COMMANDS = [("ingest", "--oura", "{csv}"), ("ingest", "--emood", "{csv}"),
+                ("describe", "{csv}"), ("select-order", "{csv}", "--maxlags", "2")]
+
+# Counts stay small or past any allocation (2**62): a count in between is
+# valid, and the command would compute or allocate that much.  Every path
+# lies in the fixture's directory, so no draw writes anywhere else.
+HUGE = str(2**62)
+FRAMES = ["{frame}", "{column}"]
+COLUMNS = ["score", "depressed", "nope", "x" * 400]
+COUNTS = ["-1", "0", "1", "2", "3", "7", HUGE, "1e3", "x"]
+PROBABILITIES = ["0.05", "0.9", "0", "1", "-1", "nan", "inf", "x"]
+OUTPUTS = ["{out}", "-", "{dir}", "{missing}/out"]
+ARGV_POSITIONAL = {"describe": FRAMES, "adf": FRAMES, "decompose": FRAMES, "pacf": FRAMES,
+                   "select-order": FRAMES, "fit": FRAMES, "granger": ["{model}"],
+                   "irf": ["{model}"], "ingest": [], "simulate": []}
+ARGV_FLAGS = {  # each flag with the values it is given, None for a switch
+    "ingest": {"--oura": ["{sleep}"], "--emood": ["{mood}"],
+               "--impute": ["forward_fill", "linear", "none"], "--max-gap": COUNTS,
+               "--absent-as-zero": None, "--no-absent-as-zero": None, "-o": OUTPUTS},
+    "describe": {"--column": COLUMNS, "--json": None, "-o": OUTPUTS},
+    "adf": {"--column": COLUMNS, "--trend": None, "--maxlag": COUNTS, "--json": None,
+            "-o": OUTPUTS},
+    "decompose": {"--column": COLUMNS, "--period": COUNTS, "--json": None, "--svg": OUTPUTS,
+                  "-o": OUTPUTS},
+    "pacf": {"--column": COLUMNS, "--nlags": COUNTS, "--json": None, "--svg": OUTPUTS,
+             "-o": OUTPUTS},
+    "select-order": {"--maxlags": COUNTS, "--override": COUNTS, "--json": None, "-o": OUTPUTS},
+    "fit": {"--lags": COUNTS, "--json": None, "-o": OUTPUTS},
+    "granger": {"--causing": COLUMNS, "--caused": COLUMNS, "--alpha": PROBABILITIES,
+                "--json": None, "-o": OUTPUTS},
+    "irf": {"--horizon": COUNTS, "--level": PROBABILITIES, "--replications": ["100", "99", HUGE],
+            "--seed": COUNTS, "--no-orth": None, "--empirical": None, "--json": None,
+            "--svg": OUTPUTS, "-o": OUTPUTS},
+    "simulate": {"--spec": ["{spec}", "{model}", "{frame}", "{missing}"], "--t": COUNTS,
+                 "--seed": COUNTS, "-o": OUTPUTS},
+}
+ARGV_REQUIRED = {"fit": ["--lags"], "granger": ["--causing"], "simulate": ["--spec", "--t"]}
+# Values any argument may be given instead.
+ARGV_ANY = st.sampled_from(["", "{missing}", "{dir}/" + "x" * 400])
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, its positional argument (mostly a fitting file), then
+    mostly its required flags and up to five of its flags, each mostly with
+    a value of its kind."""
+    command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
+    flags = ARGV_FLAGS[command]
+    argv = [command]
+    if ARGV_POSITIONAL[command]:
+        argv += draw(st.lists(st.sampled_from(ARGV_POSITIONAL[command]) | ARGV_ANY,
+                              min_size=1, max_size=1))
+    required = ARGV_REQUIRED.get(command, []) if draw(st.integers(0, 3)) else []
+    for flag in required + draw(st.lists(st.sampled_from(sorted(flags)), max_size=5)):
+        values = st.sampled_from(flags[flag]) if flags[flag] else st.nothing()
+        argv += [flag, *draw(st.lists(values | values | ARGV_ANY, max_size=1,
+                                      min_size=0 if flags[flag] is None else 1))]
+    return argv
+
+
+# A NaN as Python, numpy or JSON print it; not letters inside base64.
+NAN = re.compile(r"(?<![\w+/])nan(?![\w+/])", re.IGNORECASE)
+
+
+def assert_cli_contract(argv) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err, (code, err)
+    if code == 2:
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and len(errors[0]) < 300, err
+    assert not NAN.search(out), out
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory, dataset_frame):
+    """Small inputs for every subcommand, so a draw runs in milliseconds,
+    copies of the bundled exports, and paths to write or not to find."""
+    root = tmp_path_factory.mktemp("fuzz")
+    inputs = {name: str(root / file) for name, file in [
+        ("sleep", "sleep.csv"), ("mood", "mood.csv"), ("frame", "frame.csv"),
+        ("column", "column.csv"), ("model", "model.json"), ("spec", "spec.json"),
+        ("csv", "doc.csv"), ("out", "out"), ("missing", "missing.csv")]}
+    shutil.copy(SLEEP, inputs["sleep"])
+    shutil.copy(MOOD, inputs["mood"])
+    two = sv.SeriesFrame(dataset_frame.start_date, ("score", "depressed"), dataset_frame.values[:60, :2])
+    sv.write_frame_csv(two, inputs["frame"])
+    sv.write_frame_csv(sv.SeriesFrame(two.start_date, ("score",), two.values[:, :1]), inputs["column"])
+    sv.save_model(sv.fit_var(two, 1), inputs["model"])
+    Path(inputs["spec"]).write_text(json.dumps({
+        "var_names": ["x", "y"], "p": 1, "intercept": [0.0, 0.0],
+        "coef": [[[0.5, 0.1], [0.0, 0.4]]], "sigma_u": [[1.0, 0.0], [0.0, 1.0]]}))
+    return {**inputs, "dir": str(root)}
+
+
+class TestCliFuzz:
+    @given(document=CSV_DOCUMENTS)
+    @settings(max_examples=150, deadline=None)
+    def test_csv_inputs(self, fuzz_inputs, document):
+        Path(fuzz_inputs["csv"]).write_bytes(document)
+        for argv in CSV_COMMANDS:
+            assert_cli_contract([a.format(**fuzz_inputs) for a in argv])
+
+    @given(argv=argvs())
+    @settings(max_examples=200, deadline=None)
+    def test_argv(self, fuzz_inputs, argv):
+        assert_cli_contract([a.format(**fuzz_inputs) for a in argv])

@@ -282,7 +282,7 @@ class TestAugmentedR:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_wide_designs_same_bits_at_any_thread_count(self, threads, merged_csv):
-        # the guard holds BLAS at one thread inside sleepvar, so a child at
+        # the guard holds BLAS at one thread around every QR, so a child at
         # either thread count reproduces this process's bits
         if not HOLDS_BLAS_THREADS:
             pytest.skip("numpy's BLAS exports no thread setter here")
@@ -349,7 +349,7 @@ class FakeThreads:
 
 class TestOneBlasThread:
     @pytest.mark.skipif(not HOLDS_BLAS_THREADS, reason="numpy's BLAS exports no thread setter")
-    def test_restores_the_callers_count_after_nested_and_raising_entries(self, dataset_frame):
+    def test_restores_the_callers_count_after_nested_and_raising_entries(self):
         set_threads, get_threads = one_blas_thread.threads
         before = get_threads()
         set_threads(2)
@@ -360,8 +360,10 @@ class TestOneBlasThread:
                     assert get_threads() == 1
                 assert get_threads() == 1  # the inner exit is not the last
             assert get_threads() == 2
-            with pytest.raises(DataError, match="lag order"):
-                sv.fit_var(dataset_frame, -1)
+            nan_matrix = np.ones((6, 3))
+            nan_matrix[2, 1] = np.nan
+            with pytest.raises(DataError, match="non-finite"):
+                augmented_r(nan_matrix, 2)  # raises inside the hold
             assert get_threads() == 2
         finally:
             set_threads(before)

@@ -17,6 +17,7 @@ import math
 import os
 import stat
 import threading
+from reprlib import repr as brief
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def _oracle_rows(fh, expected_header):
         raise DataError("empty file: missing header row")
     header = [h.strip() for h in header]
     if header != list(expected_header):
-        raise DataError(f"unexpected header {header!r}; expected {list(expected_header)!r}")
+        raise DataError(f"unexpected header {brief(header)}; expected {list(expected_header)!r}")
     n_rows = 0
     for line_no, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
@@ -63,7 +64,7 @@ def _oracle_date(cell, line_no):
     try:
         return dt.date.fromisoformat(cell.strip())
     except ValueError:
-        raise DataError(f"line {line_no}: malformed date {cell.strip()!r} (expected YYYY-MM-DD)")
+        raise DataError(f"line {line_no}: malformed date {brief(cell.strip())} (expected YYYY-MM-DD)")
 
 
 def _opened(source):
@@ -87,10 +88,10 @@ def oracle_sleep(source):
                 score = int(cell)
             except ValueError:
                 raise DataError(
-                    f"line {line_no}: sleep score must be an integer or empty, got {cell!r}"
+                    f"line {line_no}: sleep score must be an integer or empty, got {brief(cell)}"
                 )
             if not 1 <= score <= 100:
-                raise DataError(f"line {line_no}: sleep score {score} outside [1, 100]")
+                raise DataError(f"line {line_no}: sleep score {brief(score)} outside [1, 100]")
             seen[day] = float(score)
     start = min(seen)
     col = np.full((max(seen) - start).days + 1, np.nan)
@@ -111,11 +112,11 @@ def oracle_mood(source, absent_as_zero=True):
                     value = int(cell)
                 except ValueError:
                     raise DataError(
-                        f"line {line_no}: {sv.MOOD_VARIABLES[j]} must be an integer 0-3, got {cell!r}"
+                        f"line {line_no}: {sv.MOOD_VARIABLES[j]} must be an integer 0-3, got {brief(cell)}"
                     )
                 if value not in (0, 1, 2, 3):
                     raise DataError(
-                        f"line {line_no}: {sv.MOOD_VARIABLES[j]} value {value} outside 0-3"
+                        f"line {line_no}: {sv.MOOD_VARIABLES[j]} value {brief(value)} outside 0-3"
                     )
                 levels[j] = float(value)
             prev = by_day.get(day)
@@ -160,7 +161,7 @@ def oracle_frame(source):
                 try:
                     parsed.append(float(cell))
                 except ValueError:
-                    raise DataError(f"line {line_no}: malformed number {cell!r} in {names[j]!r}")
+                    raise DataError(f"line {line_no}: malformed number {brief(cell)} in {brief(names[j])}")
             rows.append(parsed)
     if start is None:
         raise DataError("empty file: no data rows")
