@@ -1,5 +1,7 @@
 """Small shared helpers: immutable arrays, whole-document text I/O, the CSV
-writer, the JSON document reader and its field rules, the normal CDF."""
+writer, the JSON document reader, the normal CDF, and the one rule for each
+kind of argument (names, counts and seeds, reals in an interval, arrays and
+series), which every public entry point applies."""
 
 from __future__ import annotations
 
@@ -46,11 +48,57 @@ def checked_names(names, what: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-def checked_count(value, what: str) -> int:
-    """``value`` as an int: a non-negative integer (not a bool, float or string)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise DataError(f"{what} must be a non-negative integer, got {brief(value)}")
+def checked_count(value, what: str, low: int | None = 0) -> int:
+    """``value`` as an int: an integer (not a bool, float or string) of at
+    least ``low``, or of any sign and size when ``low`` is None (a seed)."""
+    if (type(value) is not int  # a plain int skips the Integral ABC check, ~0.5 us
+            and (type(value) is bool or not isinstance(value, numbers.Integral))
+            or low is not None and value < low):
+        rule = ("an integer" if low is None else "a non-negative integer" if low == 0
+                else f"an integer >= {low}")
+        raise DataError(f"{what} must be {rule}, got {brief(value)}")
     return int(value)
+
+
+def checked_real(value, what: str, low: float = 0.0, high: float = 1.0,
+                 closed: bool = False) -> float:
+    """``value`` as a float: a real number (not a bool or string) in the open
+    interval (low, high), or in [low, high] when ``closed``.  NaN lies in neither."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (low <= value <= high if closed else low < value < high)):
+        interval = f"[{low:g}, {high:g}]" if closed else f"({low:g}, {high:g})"
+        raise DataError(f"{what} must lie in {interval}, got {brief(value)}")
+    return float(value)
+
+
+def real_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array whose every entry is a real number: a bool,
+    a numeric string or a complex number, which numpy would read as one, is
+    rejected.  A float or integer ndarray is taken as it is, unscanned."""
+    try:
+        arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+        if arr.dtype.kind not in "fiu" and not all(
+            issubclass(t, numbers.Real) and t is not bool for t in set(map(type, arr.flat))
+        ):
+            raise TypeError
+        return np.asarray(arr, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"{what} must be an array of numbers") from None
+
+
+def checked_series(value, min_len: int, complete: bool = True) -> np.ndarray:
+    """``value`` as a 1-D float array of at least ``min_len`` real entries,
+    each finite or, unless ``complete``, missing (NaN)."""
+    y = real_array(value, "series")
+    if y.ndim != 1:
+        raise DataError(f"series must be 1-D, got shape {y.shape}")
+    if y.size < min_len:
+        raise DataError(f"series too short: need at least {min_len} observations, got {y.size}")
+    if complete and np.isnan(y).any():
+        raise DataError("series contains missing values")
+    if np.isinf(y).any():
+        raise DataError("series contains non-finite values")
+    return y
 
 
 def packed(arr: np.ndarray) -> dict:
@@ -93,21 +141,9 @@ def frozen_array(value, what: str, shape: tuple[int, ...]) -> np.ndarray:
     ``value`` is an array, nested lists of numbers, or the :func:`packed`
     form.  An empty value takes an empty ``shape``, as the lag stack of a
     VAR(0) arrives flat (``[]``) from JSON.  Every entry must be a real
-    number: numpy would read a bool or a numeric string as one, so those are
-    rejected.
+    number (:func:`real_array`).
     """
-    if isinstance(value, dict):
-        arr = _unpacked(value, what, shape)
-    else:
-        try:
-            arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
-            if arr.dtype.kind not in "fiu" and not all(
-                issubclass(t, numbers.Real) and t is not bool for t in set(map(type, arr.flat))
-            ):
-                raise TypeError
-            arr = np.asarray(arr, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise DataError(f"{what} must be an array of numbers") from None
+    arr = _unpacked(value, what, shape) if isinstance(value, dict) else real_array(value, what)
     if arr.size == 0 and 0 in shape:
         arr = arr.reshape(shape)
     if arr.shape != shape:

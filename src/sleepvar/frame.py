@@ -26,7 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import TextSource, checked_names, csv_text, freeze, read_text, write_text
+from ._util import (
+    TextSource, checked_count, checked_names, csv_text, freeze, read_text, real_array, write_text,
+)
 from .errors import DataError
 
 SLEEP_SCORE_RANGE = (1.0, 100.0)
@@ -65,7 +67,7 @@ class SeriesFrame:
 
     def __post_init__(self):
         object.__setattr__(self, "names", checked_names(self.names, "variable names"))
-        vals = np.array(self.values, dtype=float)
+        vals = real_array(self.values, "frame values")
         if vals.ndim != 2:
             raise DataError(f"frame values must be 2-D, got shape {vals.shape}")
         if vals.shape[0] < 1:
@@ -340,8 +342,7 @@ def impute(
     """
     if policy not in IMPUTE_POLICIES:
         raise DataError(f"unknown imputation policy {policy!r}; choose from {IMPUTE_POLICIES}")
-    if max_gap < 0:
-        raise DataError(f"max_gap must be non-negative, got {max_gap}")
+    max_gap = checked_count(max_gap, "max_gap")
     if policy == "none" or not frame.has_missing():
         return frame
 

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._util import checked_names, checked_real
 from .errors import ConvergenceError, DataError, NotPositiveDefiniteError, NumericError
 from .linalg import cholesky_lower
 from .var import VarFit
@@ -196,8 +197,7 @@ def f_ppf(q: float, df_num: int, df_den: int) -> float:
     narrows a bracket on t; a step that would leave it bisects instead.
     """
     _check_df(df_num, df_den)
-    if not 0.0 <= q <= 1.0:
-        raise DataError(f"probability must lie in [0, 1], got {q}")
+    q = checked_real(q, "probability", closed=True)
     if q == 0.0:
         return 0.0
     if q == 1.0:
@@ -250,13 +250,7 @@ class GrangerResult:
 
 
 def _as_name_tuple(fit: VarFit, names, what: str) -> tuple[str, ...]:
-    if isinstance(names, str):
-        names = (names,)
-    names = tuple(names)
-    if not names:
-        raise DataError(f"{what} set must be non-empty")
-    if len(set(names)) != len(names):
-        raise DataError(f"{what} set has duplicates: {brief(names)}")
+    names = checked_names([names] if isinstance(names, str) else names, what)
     for n in names:
         if n not in fit.var_names:
             raise DataError(f"unknown variable {brief(n)}; model has {brief(fit.var_names)}")
@@ -275,8 +269,7 @@ def granger_test(
     ``causing`` and ``caused`` must be disjoint subsets of the fitted
     variables; the restriction count is p * |causing| * |caused|.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DataError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = checked_real(alpha, "alpha")
     causing_t = _as_name_tuple(fit, causing, "causing")
     caused_t = _as_name_tuple(fit, caused, "caused")
     overlap = set(causing_t) & set(caused_t)
@@ -330,7 +323,7 @@ def granger_test(
 
 def granger_all_pairs(fit: VarFit, causing: str, alpha: float = 0.05) -> list[GrangerResult]:
     """One test per remaining variable, in the fitted column order."""
-    if causing not in fit.var_names:
+    if not isinstance(causing, str) or causing not in fit.var_names:
         raise DataError(f"unknown variable {brief(causing)}; model has {brief(fit.var_names)}")
     if fit.n_vars < 2:
         raise DataError("all-pairs testing needs at least two variables")

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import checked_count, checked_real
 from .errors import DataError, NumericError
 from .linalg import cholesky_lower, deficient_columns, rank_message, solve_augmented
 from .simulate import DEFAULT_BURN_IN, iterate_paths, substream
@@ -95,9 +96,7 @@ def ma_coefficients(fit: VarFit, horizon: int) -> np.ndarray:
     Phi_0 = I and Phi_h = sum_{i=1..min(h,p)} Phi_{h-i} A_i; column j of
     Phi_h is the system state h steps after a unit impulse in variable j.
     """
-    if horizon < 0:
-        raise DataError(f"horizon must be non-negative, got {horizon}")
-    return _ma_recursion(fit.coef, horizon)
+    return _ma_recursion(fit.coef, checked_count(horizon, "horizon"))
 
 
 def orthogonalized_irf(fit: VarFit, horizon: int) -> np.ndarray:
@@ -125,10 +124,9 @@ def irf_with_bands(
     :data:`MIN_REPLICATIONS` replications; more than 1% failed refits abort
     with diagnostics.
     """
-    if not 0.0 < level < 1.0:
-        raise DataError(f"level must lie in (0, 1), got {level}")
-    if replications < MIN_REPLICATIONS:
-        raise DataError(f"replications must be >= {MIN_REPLICATIONS}, got {replications}")
+    level = checked_real(level, "level")
+    replications = checked_count(replications, "replications", MIN_REPLICATIONS)
+    seed = checked_count(seed, "seed", None)
     if innovations not in INNOVATION_MODES:
         raise DataError(f"unknown innovation mode {innovations!r}; choose from {INNOVATION_MODES}")
     if fit.p < 1:

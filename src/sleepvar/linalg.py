@@ -189,7 +189,7 @@ def augmented_r(augmented, m: int, overwrite_a: bool = False) -> np.ndarray:
         raise DataError(f"augmented matrix must be at least 2-D, got shape {a.shape}")
     n, width = a.shape[-2:]
     if not 0 < m < width:
-        raise DataError(f"design width {m} must lie in 1..{width - 1}")
+        raise DataError(f"design width {m} outside 1..{width - 1}")
     if n < m:
         raise DataError(f"underdetermined system: {n} rows < {m} columns")
     if not np.isfinite(a).all():

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import TextSource, checked_count, checked_names, frozen_array, load_document
+from ._util import TextSource, checked_count, checked_names, checked_real, frozen_array, load_document
 from .errors import DataError, NotPositiveDefiniteError
 from .frame import SeriesFrame
 from .linalg import cholesky_lower, stability_radius
@@ -31,8 +31,10 @@ _U64 = (1 << 64) - 1
 
 
 def substream(seed: int, stream: int = 0) -> np.random.Generator:
-    """Independent deterministic generator for ``(seed, stream)``."""
-    key = np.array([seed & _U64, stream & _U64], dtype=np.uint64)
+    """Independent deterministic generator for ``(seed, stream)``: two
+    integers of any sign and size, each keyed by its value modulo 2**64."""
+    key = np.array([checked_count(seed, "seed", None) & _U64,
+                    checked_count(stream, "stream", None) & _U64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -118,22 +120,23 @@ def iterate_paths(
     return paths[p:, :, :b].transpose(2, 0, 1)
 
 
+def _draws(seed: int, shape: tuple[int, ...], steps: str) -> np.ndarray:
+    """Standard normal draws of ``shape`` from stream 0 of ``seed``, or a DataError."""
+    try:
+        return substream(seed, 0).standard_normal(shape)
+    except (ValueError, MemoryError):  # numpy refuses, or malloc fails on, an array of that size
+        raise DataError(f"{steps} = {shape[0]} steps are too many to simulate") from None
+
+
 def simulate_var(spec: VarProcessSpec, t: int, seed: int) -> SeriesFrame:
     """Sample ``t`` observations from the process, discarding the burn-in.
 
     The recursion starts at the unconditional mean; identical
     ``(spec, t, seed)`` produce bit-identical frames.
     """
-    if t < 1:
-        raise DataError(f"t must be >= 1, got {t}")
-    gen = substream(seed, 0)
-    chol = cholesky_lower(spec.innovation_cov)
-    n = spec.burn_in + t
-    try:
-        draws = gen.standard_normal((n, spec.n_vars))
-    except (ValueError, MemoryError):  # numpy refuses, or malloc fails on, an array of that size
-        raise DataError(f"burn_in + t = {n} steps are too many to simulate") from None
-    shocks = draws @ chol.T
+    t = checked_count(t, "t", 1)
+    draws = _draws(seed, (spec.burn_in + t, spec.n_vars), "burn_in + t")
+    shocks = draws @ cholesky_lower(spec.innovation_cov).T
     path = iterate_paths(
         spec.intercept, spec.coef, shocks[None, :, :], spec.unconditional_mean()
     )[0]
@@ -142,18 +145,18 @@ def simulate_var(spec: VarProcessSpec, t: int, seed: int) -> SeriesFrame:
 
 def random_walk(t: int, seed: int) -> np.ndarray:
     """Cumulative sum of t unit Gaussian draws."""
-    if t < 1:
-        raise DataError(f"t must be >= 1, got {t}")
-    return np.cumsum(substream(seed, 0).standard_normal(t))
+    return np.cumsum(_draws(seed, (checked_count(t, "t", 1),), "t"))
 
 
 def white_noise(t: int, seed: int, sd: float = 1.0) -> np.ndarray:
-    """t independent Gaussian draws with standard deviation ``sd``."""
-    if t < 1:
-        raise DataError(f"t must be >= 1, got {t}")
-    if not sd > 0.0:
-        raise DataError(f"sd must be positive, got {sd}")
-    return sd * substream(seed, 0).standard_normal(t)
+    """t independent Gaussian draws with standard deviation ``sd``, a finite
+    positive real small enough that no draw overflows."""
+    t, sd = checked_count(t, "t", 1), checked_real(sd, "sd", 0.0, np.inf)
+    try:
+        with np.errstate(over="raise"):
+            return sd * _draws(seed, (t,), "t")
+    except FloatingPointError:
+        raise DataError(f"sd {sd!r} is too large: a draw overflows") from None
 
 
 def load_process_spec(source: TextSource) -> VarProcessSpec:

@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import mackinnon
+from ._util import checked_count, checked_real, checked_series
 from .errors import DataError, NumericError
 from .linalg import RANK_RTOL, augmented_r, deficient_columns
 from .var import _lagged_design
@@ -81,19 +82,6 @@ class PacfResult:
     band: float
 
 
-def _clean_series(series, min_len: int) -> np.ndarray:
-    y = np.asarray(series, dtype=float)
-    if y.ndim != 1:
-        raise DataError(f"series must be 1-D, got shape {y.shape}")
-    if y.size < min_len:
-        raise DataError(f"series too short: need at least {min_len} observations, got {y.size}")
-    if np.isnan(y).any():
-        raise DataError("series contains missing values")
-    if not np.isfinite(y).all():
-        raise DataError("series contains non-finite values")
-    return y
-
-
 def _adf_augmented(y: np.ndarray, k: int, ntrend: int) -> np.ndarray:
     """[1, (t,) y_{t-1}, dy_{t-1} .. dy_{t-k} | dy_t] for t = k+1 .. T-1: the
     K = 1 lagged design of dy, with the trend and level columns after the constant."""
@@ -111,7 +99,7 @@ def adf_test(series, regression: str = "constant", max_lag: int | None = None) -
     """
     if regression not in REGRESSIONS:
         raise DataError(f"unknown regression {regression!r}; choose from {REGRESSIONS}")
-    y = _clean_series(series, ADF_MIN_OBS)
+    y = checked_series(series, ADF_MIN_OBS)
     if np.ptp(y) == 0.0:
         raise DataError("series is constant; unit-root test undefined")
 
@@ -119,14 +107,9 @@ def adf_test(series, regression: str = "constant", max_lag: int | None = None) -
     ntrend = 1 if regression == "constant" else 2
     cap = t_total // 2 - ntrend - 1
     if max_lag is None:
-        max_lag = int(12.0 * (t_total / 100.0) ** 0.25)
-        max_lag = min(max_lag, cap)
-    elif max_lag < 0:
-        raise DataError(f"max_lag must be non-negative, got {max_lag}")
-    elif max_lag > cap:
+        max_lag = min(int(12.0 * (t_total / 100.0) ** 0.25), cap)
+    elif (max_lag := checked_count(max_lag, "max_lag")) > cap:
         raise DataError(f"max_lag {max_lag} too large for series of length {t_total}")
-    if max_lag < 0:
-        raise DataError(f"series too short for an ADF regression with {regression!r} terms")
 
     # Augmentation order by AIC on the common sample trimmed at max_lag: one
     # QR of [X | dy], whose last column below row base+k holds the
@@ -153,9 +136,7 @@ def adf_test(series, regression: str = "constant", max_lag: int | None = None) -
     # no unit-root evidence either way: the statistic is 0.
     augmented = _adf_augmented(y, used_lag, ntrend)
     n_obs, m = augmented.shape[0], augmented.shape[1] - 1
-    dof = n_obs - m
-    if dof < 1:
-        raise DataError("series too short for the selected augmentation order")
+    dof = n_obs - m  # >= ntrend, as max_lag <= cap
     level = ntrend  # index of the y_{t-1} column
     moved = augmented.T[[*range(level), *range(level + 1, m), level, m]].T  # column-major
     r = augmented_r(moved, m, overwrite_a=True)
@@ -177,22 +158,16 @@ def adf_test(series, regression: str = "constant", max_lag: int | None = None) -
 
 def recommend_differencing(series, alpha: float = 0.05) -> DifferencingDecision:
     """ADF with constant terms; differencing is needed when p > alpha."""
-    if not 0.0 <= alpha <= 1.0:
-        raise DataError(f"alpha must lie in [0, 1], got {alpha}")
+    alpha = checked_real(alpha, "alpha", closed=True)
     res = adf_test(series, regression="constant")
     return DifferencingDecision(res.p_value, res.p_value > alpha)
 
 
 def difference(series, order: int = 1) -> np.ndarray:
-    """Order-fold first differences; output length is T - order."""
-    if order < 1:
-        raise DataError(f"differencing order must be >= 1, got {order}")
-    y = np.asarray(series, dtype=float)
-    if y.ndim != 1:
-        raise DataError(f"series must be 1-D, got shape {y.shape}")
-    if y.size <= order:
-        raise DataError(f"series of length {y.size} too short to difference {order} times")
-    return np.diff(y, n=order)
+    """Order-fold first differences; output length is T - order.  Missing
+    values (NaN) are allowed and propagate."""
+    order = checked_count(order, "differencing order", 1)
+    return np.diff(checked_series(series, order + 1, complete=False), n=order)
 
 
 def classical_decompose(series, period: int = 7) -> Decomposition:
@@ -202,9 +177,8 @@ def classical_decompose(series, period: int = 7) -> Decomposition:
     half-weight endpoints; seasonal effects are per-phase means of the
     detrended series, re-centered to sum to zero over one period.
     """
-    if period < 2:
-        raise DataError(f"period must be >= 2, got {period}")
-    y = _clean_series(series, 2 * period)
+    period = checked_count(period, "period", 2)
+    y = checked_series(series, 2 * period)
     n = y.size
 
     if period % 2 == 0:
@@ -245,14 +219,10 @@ def pacf(series, n_lags: int) -> PacfResult:
     ``values[k]`` is the correlation between y_t and y_{t-k} after removing
     the influence of the intervening lags; ``values[0]`` is 1 by definition.
     """
-    y = np.asarray(series, dtype=float)
-    if y.ndim != 1:
-        raise DataError(f"series must be 1-D, got shape {y.shape}")
-    if n_lags < 0:
-        raise DataError(f"n_lags must be non-negative, got {n_lags}")
+    n_lags = checked_count(n_lags, "n_lags")
+    y = checked_series(series, 2)
     if n_lags >= y.size / 2:
         raise DataError(f"n_lags {n_lags} must be below half the series length {y.size}")
-    y = _clean_series(y, max(2, n_lags + 1))
     if np.ptp(y) == 0.0:
         raise DataError("series is constant; autocorrelation undefined")
 

@@ -207,8 +207,7 @@ def _lagged_design(values: np.ndarray, p: int, lead=()) -> np.ndarray:
 
 def _checked_design(frame: SeriesFrame, p: int) -> np.ndarray:
     """:func:`_lagged_design` of a complete frame that leaves rows at lag ``p``."""
-    if p < 0:
-        raise DataError(f"lag order must be non-negative, got {p}")
+    p = checked_count(p, "lag order")
     values = _values_or_raise(frame)
     if values.shape[0] - p < 1:
         raise DataError(
@@ -290,9 +289,8 @@ def select_order(frame: SeriesFrame, max_lags: int, override: int | None = None)
     max_lags design serves every candidate.  ``selected`` is the AIC
     argmin unless ``override`` pins a lag explicitly.
     """
-    if max_lags < 0:
-        raise DataError(f"max_lags must be non-negative, got {max_lags}")
-    if override is not None and not 0 <= override <= max_lags:
+    max_lags = checked_count(max_lags, "max_lags")
+    if override is not None and checked_count(override, "override lag") > max_lags:
         raise DataError(f"override lag {override} outside 0..{max_lags}")
     values = _values_or_raise(frame)
     t_total, k = values.shape
