@@ -1,7 +1,7 @@
 """Small shared helpers: immutable arrays, whole-document text I/O, the CSV
 writer, the JSON document reader, the normal CDF, and the one rule for each
-kind of argument (names, counts and seeds, reals in an interval, arrays and
-series), which every public entry point applies."""
+kind of argument (names, choices, counts and seeds, reals in an interval,
+arrays and series), which every public entry point applies."""
 
 from __future__ import annotations
 
@@ -46,6 +46,13 @@ def checked_names(names, what: str) -> tuple[str, ...]:
             and all(isinstance(n, str) and n for n in names) and len(set(names)) == len(names)):
         raise DataError(f"{what} must be one or more distinct, non-empty strings, got {brief(names)}")
     return tuple(names)
+
+
+def checked_choice(value, choices: tuple[str, ...], what: str) -> str:
+    """``value``, which must be one of the strings ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise DataError(f"unknown {what} {brief(value)}; choose from {choices}")
+    return value
 
 
 def checked_count(value, what: str, low: int | None = 0) -> int:

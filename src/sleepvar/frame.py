@@ -27,7 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from ._util import (
-    TextSource, checked_count, checked_names, csv_text, freeze, read_text, real_array, write_text,
+    TextSource, checked_choice, checked_count, checked_names, csv_text, freeze, read_text,
+    real_array, write_text,
 )
 from .errors import DataError
 
@@ -66,6 +67,8 @@ class SeriesFrame:
     values: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.start_date, dt.date) or isinstance(self.start_date, dt.datetime):
+            raise DataError(f"start date must be a datetime.date, got {brief(self.start_date)}")
         object.__setattr__(self, "names", checked_names(self.names, "variable names"))
         vals = real_array(self.values, "frame values")
         if vals.ndim != 2:
@@ -314,20 +317,6 @@ def merge(frames: Sequence[SeriesFrame]) -> SeriesFrame:
     return SeriesFrame(start, tuple(names), vals)
 
 
-def _missing_runs(isnan: np.ndarray):
-    """Yield (start, stop) index pairs of maximal missing runs."""
-    i, n = 0, isnan.size
-    while i < n:
-        if isnan[i]:
-            j = i
-            while j < n and isnan[j]:
-                j += 1
-            yield i, j
-            i = j
-        else:
-            i += 1
-
-
 def impute(
     frame: SeriesFrame,
     policy: str = DEFAULT_IMPUTE_POLICY,
@@ -340,25 +329,31 @@ def impute(
     leading and trailing runs stay missing); ``none`` returns the frame
     unchanged.  Non-missing cells are never modified.
     """
-    if policy not in IMPUTE_POLICIES:
-        raise DataError(f"unknown imputation policy {policy!r}; choose from {IMPUTE_POLICIES}")
+    policy = checked_choice(policy, IMPUTE_POLICIES, "imputation policy")
     max_gap = checked_count(max_gap, "max_gap")
     if policy == "none" or not frame.has_missing():
         return frame
 
     vals = np.array(frame.values)
     n = frame.n_obs
-    for c in range(frame.n_vars):
-        x = vals[:, c]
-        for s, e in _missing_runs(np.isnan(x)):
-            if e - s > max_gap:
-                continue
-            if policy == "forward_fill":
-                if s > 0:
-                    x[s:e] = x[s - 1]
-            else:  # linear
-                if s > 0 and e < n:
-                    x[s:e] = np.linspace(x[s - 1], x[e], e - s + 2)[1:-1]
+    missing = np.isnan(vals)
+    rows = np.arange(n)[:, None]
+    # Each cell's last observed row at or before it (-1: none) and first at or after it (n: none).
+    before = np.maximum.accumulate(np.where(missing, -1, rows), axis=0)
+    after = np.minimum.accumulate(np.where(missing, n, rows)[::-1], axis=0)[::-1]
+    fill = missing & (after - before - 1 <= max_gap) & (before >= 0)
+    if policy == "linear":
+        fill &= after < n
+    r, c = np.nonzero(fill)
+    b = before[r, c]
+    lo = vals[b, c]
+    if policy == "forward_fill":
+        vals[r, c] = lo
+    else:  # np.linspace(lo, hi, a - b + 1)'s arithmetic, its denormal branch included
+        a = after[r, c]
+        delta = vals[a, c] - lo
+        step = delta / (a - b)
+        vals[r, c] = np.where(step == 0, (r - b) / (a - b) * delta, (r - b) * step) + lo
     return SeriesFrame(frame.start_date, frame.names, vals)
 
 

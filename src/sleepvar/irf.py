@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import checked_count, checked_real
+from ._util import checked_choice, checked_count, checked_real
 from .errors import DataError, NumericError
 from .linalg import cholesky_lower, deficient_columns, rank_message, solve_augmented
 from .simulate import DEFAULT_BURN_IN, iterate_paths, substream
@@ -127,8 +127,7 @@ def irf_with_bands(
     level = checked_real(level, "level")
     replications = checked_count(replications, "replications", MIN_REPLICATIONS)
     seed = checked_count(seed, "seed", None)
-    if innovations not in INNOVATION_MODES:
-        raise DataError(f"unknown innovation mode {innovations!r}; choose from {INNOVATION_MODES}")
+    innovations = checked_choice(innovations, INNOVATION_MODES, "innovation mode")
     if fit.p < 1:
         raise DataError("impulse-response bands require a fitted lag order of at least 1")
     k, p, t_eff = fit.n_vars, fit.p, fit.t_eff

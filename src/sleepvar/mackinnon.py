@@ -18,7 +18,7 @@ number of regression observations.
 
 from __future__ import annotations
 
-from ._util import norm_cdf
+from ._util import checked_choice, norm_cdf
 from .errors import DataError
 
 _SURFACES = {
@@ -52,12 +52,7 @@ REGRESSIONS = tuple(_SURFACES)
 
 
 def _surface(regression: str) -> dict:
-    try:
-        return _SURFACES[regression]
-    except KeyError:
-        raise DataError(
-            f"unknown regression {regression!r}; choose from {REGRESSIONS}"
-        ) from None
+    return _SURFACES[checked_choice(regression, REGRESSIONS, "regression")]
 
 
 def _polyval(coeffs, x: float) -> float:

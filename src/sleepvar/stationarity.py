@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import mackinnon
-from ._util import checked_count, checked_real, checked_series
+from ._util import checked_choice, checked_count, checked_real, checked_series
 from .errors import DataError, NumericError
 from .linalg import RANK_RTOL, augmented_r, deficient_columns
 from .var import _lagged_design
@@ -97,8 +97,7 @@ def adf_test(series, regression: str = "constant", max_lag: int | None = None) -
     default is floor(12 * (T/100)^(1/4)), capped so the regression keeps
     positive degrees of freedom.
     """
-    if regression not in REGRESSIONS:
-        raise DataError(f"unknown regression {regression!r}; choose from {REGRESSIONS}")
+    regression = checked_choice(regression, REGRESSIONS, "regression")
     y = checked_series(series, ADF_MIN_OBS)
     if np.ptp(y) == 0.0:
         raise DataError("series is constant; unit-root test undefined")

@@ -26,6 +26,11 @@ SERIES = FRAME.column("x")
 # valid and small, so an accepted value runs to the end in milliseconds.
 CALLS = {
     "impute.max_gap": lambda v: sv.impute(GAPPY, max_gap=v),
+    "impute.policy": lambda v: sv.impute(GAPPY, policy=v),
+    "adf_test.regression": lambda v: sv.adf_test(SERIES, regression=v),
+    "irf_with_bands.innovations": lambda v: sv.irf_with_bands(FIT, 2, replications=100,
+                                                              innovations=v),
+    "SeriesFrame.start_date": lambda v: sv.SeriesFrame(v, ("x",), [[1.0]]).end_date,
     "select_order.max_lags": lambda v: sv.select_order(FRAME, v),
     "select_order.override": lambda v: sv.select_order(FRAME, 3, override=v),
     "fit_var.p": lambda v: sv.fit_var(FRAME, v),
@@ -139,6 +144,14 @@ PROBES = {
     "white_noise(5, 0, sd=inf)": lambda: sv.white_noise(5, 0, sd=float("inf")),
     "white_noise(5, 0, sd='x')": lambda: sv.white_noise(5, 0, sd="x"),
     "white_noise(50, 0, sd=1e308)": lambda: sv.white_noise(50, 0, sd=1e308),
+    "impute(y, policy=array)": lambda: sv.impute(GAPPY, policy=np.array(["linear", "none"])),
+    "adf_test(x, regression=array)": lambda: sv.adf_test(
+        SERIES, regression=np.array(["constant", "constant_and_trend"])),
+    "irf_with_bands(fit, innovations=array)": lambda: sv.irf_with_bands(
+        FIT, 2, replications=100, innovations=np.array(["gaussian", "empirical"])),
+    "SeriesFrame('2020-01-01', ...)": lambda: sv.SeriesFrame("2020-01-01", ("x",), [[1.0]]).end_date,
+    "SeriesFrame(20200101, ...)": lambda: sv.SeriesFrame(20200101, ("x",), [[1.0]]).end_date,
+    "SeriesFrame(None, ...)": lambda: sv.SeriesFrame(None, ("x",), [[1.0]]).end_date,
 }
 
 

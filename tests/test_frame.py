@@ -36,6 +36,11 @@ class TestSeriesFrame:
         with pytest.raises(DataError):
             sv.SeriesFrame(D(2019, 1, 1), ("a", "b"), np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("start", ["2020-01-01", 20200101, None, dt.datetime(2020, 1, 1)])
+    def test_start_date_must_be_a_date(self, start):
+        with pytest.raises(DataError, match="start date must be a datetime.date"):
+            sv.SeriesFrame(start, ("x",), [[1.0]])
+
     def test_immutable(self):
         f = make_frame({"a": [1, 2, 3]})
         with pytest.raises(ValueError):
@@ -167,6 +172,29 @@ class TestMerge:
             assert np.array_equal(ab.column(name), ba.column(name), equal_nan=True)
 
 
+def row_loop_impute(values: np.ndarray, policy: str, max_gap: int) -> np.ndarray:
+    """The reference gap fill: scan each column for maximal missing runs and
+    fill each run of at most ``max_gap`` cells on its own."""
+    out = np.array(values)
+    n = out.shape[0]
+    for x in out.T:
+        i = 0
+        while i < n:
+            if not np.isnan(x[i]):
+                i += 1
+                continue
+            e = i
+            while e < n and np.isnan(x[e]):
+                e += 1
+            if e - i <= max_gap and i > 0:
+                if policy == "forward_fill":
+                    x[i:e] = x[i - 1]
+                elif policy == "linear" and e < n:
+                    x[i:e] = np.linspace(x[i - 1], x[e], e - i + 2)[1:-1]
+            i = e
+    return out
+
+
 class TestImpute:
     def test_linear_midpoint(self):
         f = make_frame({"s": [75, None, 80]})
@@ -201,6 +229,19 @@ class TestImpute:
         with pytest.raises(DataError, match="policy"):
             sv.impute(make_frame({"s": [1]}), policy="mean")
 
+    def test_bad_policy_message_is_cut(self):
+        with pytest.raises(DataError) as err:
+            sv.impute(make_frame({"s": [1]}), policy="x" * 500)
+        assert len(str(err.value)) < 120
+        assert str(err.value).endswith("choose from ('forward_fill', 'linear', 'none')")
+
+    def test_linear_step_below_the_smallest_subnormal(self):
+        # np.linspace scales by i/div before delta when delta/div rounds to 0
+        f = make_frame({"s": [0.0, None, None, 5e-324]})
+        got = sv.impute(f, "linear", 2).column("s")
+        assert got.tolist() == [0.0, 0.0, 5e-324, 5e-324]
+        assert np.array_equal(got, row_loop_impute(f.values, "linear", 2)[:, 0])
+
     @given(
         data=st.lists(
             st.one_of(st.none(), st.floats(-1e6, 1e6, allow_nan=False)),
@@ -217,6 +258,24 @@ class TestImpute:
         assert np.array_equal(f.values[observed], out.values[observed])
         # filling only ever shrinks the missing set
         assert not (np.isnan(f.values) < np.isnan(out.values)).any()
+
+    @given(
+        data=st.lists(
+            st.lists(st.one_of(st.none(), st.floats(-1e6, 1e6, allow_nan=False)),
+                     min_size=3, max_size=3),
+            min_size=1, max_size=30,
+        ),
+        policy=st.sampled_from(["forward_fill", "linear"]),
+        gap=st.integers(0, 31),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_loop(self, data, policy, gap):
+        f = make_frame({name: [row[c] for row in data] for c, name in enumerate("abc")})
+        max_gap = min(gap, f.n_obs + 1)
+        got = sv.impute(f, policy=policy, max_gap=max_gap).values
+        want = row_loop_impute(f.values, policy, max_gap)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestDescribe:
