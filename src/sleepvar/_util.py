@@ -1,7 +1,8 @@
 """Small shared helpers: immutable arrays, whole-document text I/O, the CSV
-writer, the JSON document reader, the normal CDF, and the one rule for each
+writer, the JSON document reader, the normal CDF, the one rule for each
 kind of argument (names, choices, counts and seeds, reals in an interval,
-arrays and series), which every public entry point applies."""
+arrays and series), which every public entry point applies, and the guards
+that turn a refused allocation or a float overflow into a DataError."""
 
 from __future__ import annotations
 
@@ -106,6 +107,25 @@ def checked_series(value, min_len: int, complete: bool = True) -> np.ndarray:
     if np.isinf(y).any():
         raise DataError("series contains non-finite values")
     return y
+
+
+@contextlib.contextmanager
+def allocating(message: str):
+    """Raise ``DataError(message)`` where numpy refuses, or malloc fails on, the block's array."""
+    try:
+        yield
+    except (ValueError, MemoryError):
+        raise DataError(message) from None
+
+
+@contextlib.contextmanager
+def overflow_checked(message: str):
+    """Raise ``DataError(message)`` where the block's, or decorated function's, numpy floats overflow."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise DataError(message) from None
 
 
 def packed(arr: np.ndarray) -> dict:

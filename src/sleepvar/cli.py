@@ -62,12 +62,13 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _pick_column(frame: fr.SeriesFrame, column: str | None) -> str:
-    if column is not None:
-        frame.index_of(column)  # validate
-        return column
+def _series(args) -> np.ndarray:
+    """The ``--column`` of the frame at ``args.frame``, or its only column."""
+    frame = fr.read_frame_csv(args.frame)
+    if args.column is not None:
+        return frame.column(args.column)
     if frame.n_vars == 1:
-        return frame.names[0]
+        return frame.column(frame.names[0])
     raise _UsageError(f"--column is required (frame has {frame.names})")
 
 
@@ -107,18 +108,14 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_adf(args) -> int:
-    frame = fr.read_frame_csv(args.frame)
-    name = _pick_column(frame, args.column)
     regression = "constant_and_trend" if args.trend else "constant"
-    res = stationarity.adf_test(frame.column(name), regression=regression, max_lag=args.maxlag)
+    res = stationarity.adf_test(_series(args), regression=regression, max_lag=args.maxlag)
     _show(args, res, report.format_adf, dataclasses.asdict)
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    frame = fr.read_frame_csv(args.frame)
-    name = _pick_column(frame, args.column)
-    series = frame.column(name)
+    series = _series(args)
     dec = stationarity.classical_decompose(series, period=args.period)
     _show(
         args,
@@ -132,9 +129,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_pacf(args) -> int:
-    frame = fr.read_frame_csv(args.frame)
-    name = _pick_column(frame, args.column)
-    series = frame.column(name)
+    series = _series(args)
     n_lags = args.nlags if args.nlags is not None else min(40, series.size // 2 - 1)
     res = stationarity.pacf(series, n_lags)
     _show(args, res, report.pacf_csv, report.pacf_dict)
@@ -204,93 +199,84 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"sleepvar {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("ingest", help="read sleep/mood CSVs, align, impute, write a merged frame")
+    def shared(*names, **kwargs) -> argparse.ArgumentParser:
+        """A parent parser holding the one argument ``names``, for subparsers to list."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    output, as_json = shared("-o", "--output"), shared("--json", action="store_true")
+    frame, model, column = shared("frame"), shared("model"), shared("--column")
+
+    p = sub.add_parser("ingest", help="read sleep/mood CSVs, align, impute, write a merged frame",
+                       parents=[output])
     p.add_argument("--oura", help="sleep export CSV (date,score)")
     p.add_argument("--emood", help="mood log CSV (date,depressed,anxious,irritable,elevated)")
     p.add_argument("--impute", choices=fr.IMPUTE_POLICIES, default=fr.DEFAULT_IMPUTE_POLICY)
     p.add_argument("--max-gap", type=int, default=fr.DEFAULT_MAX_GAP)
     p.add_argument("--absent-as-zero", action=argparse.BooleanOptionalAction, default=True,
                    help="treat mood days absent from the log as 0 (not present)")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("describe", help="summary statistics of frame columns")
-    p.add_argument("frame")
-    p.add_argument("--column")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output")
+    p = sub.add_parser("describe", help="summary statistics of frame columns",
+                       parents=[frame, column, as_json, output])
     p.set_defaults(func=_cmd_describe)
 
-    p = sub.add_parser("adf", help="augmented Dickey-Fuller unit-root test")
-    p.add_argument("frame")
-    p.add_argument("--column")
+    p = sub.add_parser("adf", help="augmented Dickey-Fuller unit-root test",
+                       parents=[frame, column, as_json, output])
     p.add_argument("--trend", action="store_true", help="include a linear trend term")
     p.add_argument("--maxlag", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_adf)
 
-    p = sub.add_parser("decompose", help="classical trend/seasonal/residual decomposition")
-    p.add_argument("frame")
-    p.add_argument("--column")
+    p = sub.add_parser("decompose", help="classical trend/seasonal/residual decomposition",
+                       parents=[frame, column, as_json, output])
     p.add_argument("--period", type=int, default=7)
-    p.add_argument("--json", action="store_true")
     p.add_argument("--svg", help="also write an SVG figure to this path")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("pacf", help="partial autocorrelation function")
-    p.add_argument("frame")
-    p.add_argument("--column")
+    p = sub.add_parser("pacf", help="partial autocorrelation function",
+                       parents=[frame, column, as_json, output])
     p.add_argument("--nlags", type=int, default=None)
-    p.add_argument("--json", action="store_true")
     p.add_argument("--svg", help="also write an SVG stem plot to this path")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_pacf)
 
-    p = sub.add_parser("select-order", help="information-criteria table over lag orders")
-    p.add_argument("frame")
+    p = sub.add_parser("select-order", help="information-criteria table over lag orders",
+                       parents=[frame, as_json, output])
     p.add_argument("--maxlags", type=int, default=15)
     p.add_argument("--override", type=int, default=None,
                    help="pin the selected lag instead of the AIC argmin")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_select_order)
 
-    p = sub.add_parser("fit", help="estimate a VAR(p) and print the coefficient report")
-    p.add_argument("frame")
+    # fit declares its own --json and -o: both select the model document
+    p = sub.add_parser("fit", help="estimate a VAR(p) and print the coefficient report",
+                       parents=[frame])
     p.add_argument("--lags", type=int, required=True)
     p.add_argument("--json", action="store_true", help="print the model document instead")
     p.add_argument("-o", "--output", help="write the model JSON here ('-': to stdout, instead of the report)")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("granger", help="Granger causality tests from a saved model")
-    p.add_argument("model")
+    p = sub.add_parser("granger", help="Granger causality tests from a saved model",
+                       parents=[model, as_json, output])
     p.add_argument("--causing", required=True)
     p.add_argument("--caused", help="test a single outcome instead of all pairs")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_granger)
 
-    p = sub.add_parser("irf", help="impulse responses with bootstrap bands")
-    p.add_argument("model")
+    p = sub.add_parser("irf", help="impulse responses with bootstrap bands",
+                       parents=[model, as_json, output])
     p.add_argument("--horizon", type=int, default=10)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--replications", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-orth", action="store_true", help="plain (non-orthogonalized) impulses")
     p.add_argument("--empirical", action="store_true", help="resample residual rows")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--svg", help="also write the response-grid SVG here")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_irf)
 
-    p = sub.add_parser("simulate", help="sample a VAR process from a spec document")
+    p = sub.add_parser("simulate", help="sample a VAR process from a spec document", parents=[output])
     p.add_argument("--spec", required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_simulate)
 
     return parser

@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from ._util import (
-    TextSource, checked_choice, checked_count, checked_names, csv_text, freeze, read_text,
-    real_array, write_text,
+    TextSource, checked_choice, checked_count, checked_names, csv_text, freeze, overflow_checked,
+    read_text, real_array, write_text,
 )
 from .errors import DataError
 
@@ -317,6 +317,7 @@ def merge(frames: Sequence[SeriesFrame]) -> SeriesFrame:
     return SeriesFrame(start, tuple(names), vals)
 
 
+@overflow_checked("values are too large: an interpolation overflows")
 def impute(
     frame: SeriesFrame,
     policy: str = DEFAULT_IMPUTE_POLICY,
@@ -357,6 +358,7 @@ def impute(
     return SeriesFrame(frame.start_date, frame.names, vals)
 
 
+@overflow_checked("values are too large: the summary statistics overflow")
 def describe(frame: SeriesFrame, name: str) -> SummaryStats:
     """Summary statistics for one column, computed over non-missing values."""
     col = frame.column(name)

@@ -279,23 +279,13 @@ def granger_test(
         raise DataError("Granger test requires a fitted lag order of at least 1")
 
     k = fit.n_vars
-    name_idx = {n: i for i, n in enumerate(fit.var_names)}
-    # Restriction r selects stacked coefficient (equation eq, design column c).
-    eq_idx, col_idx = [], []
-    for cname in caused_t:
-        for xname in causing_t:
-            for lag in range(fit.p):
-                eq_idx.append(name_idx[cname])
-                col_idx.append(1 + lag * k + name_idx[xname])
-    eq = np.array(eq_idx)
-    col = np.array(col_idx)
-
-    params = fit.params_matrix()
-    restricted = params[col, eq]
-    # Covariance of the selected coefficients: sigma_u (x) (X'X)^-1 entries.
-    cov = fit.sigma_u[eq[:, None], eq[None, :]] * fit.normal_matrix_inverse[
-        col[:, None], col[None, :]
-    ]
+    index = fit.var_names.index
+    # Restrictions run equation-major: each caused equation's causing-variable
+    # lags, so their covariance is the block sigma_u (x) (X'X)^-1.
+    eqs = [index(n) for n in caused_t]
+    cols = [1 + lag * k + index(n) for n in causing_t for lag in range(fit.p)]
+    restricted = fit.params_matrix()[np.ix_(cols, eqs)].T.ravel()
+    cov = np.kron(fit.sigma_u[np.ix_(eqs, eqs)], fit.normal_matrix_inverse[np.ix_(cols, cols)])
     try:
         chol = cholesky_lower(cov)
     except NotPositiveDefiniteError as exc:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import checked_choice, checked_count, checked_real
+from ._util import allocating, checked_choice, checked_count, checked_real
 from .errors import DataError, NumericError
 from .linalg import cholesky_lower, deficient_columns, rank_message, solve_augmented
 from .simulate import DEFAULT_BURN_IN, iterate_paths, substream
@@ -77,10 +77,8 @@ class IrfResult:
 def _ma_recursion(coef: np.ndarray, horizon: int) -> np.ndarray:
     """Phi_0..Phi_horizon for lag stacks ``coef`` of shape (..., p, K, K)."""
     *batch, p, k, _ = coef.shape
-    try:
+    with allocating(f"horizon {horizon} is too large to compute"):
         phi = np.empty((*batch, horizon + 1, k, k))
-    except (ValueError, MemoryError):  # numpy refuses, or malloc fails on, an array of that size
-        raise DataError(f"horizon {horizon} is too large to compute") from None
     phi[..., 0, :, :] = np.eye(k)
     for h in range(1, horizon + 1):
         acc = np.zeros((*batch, k, k))
@@ -159,12 +157,8 @@ def irf_with_bands(
     mean = unconditional_mean(fit.intercept, fit.coef)
 
     storage = np.empty(block * n_steps * k)
-    try:
+    with allocating(f"{replications} replications at horizon {horizon} are too many to keep"):
         draws = np.empty((replications, horizon + 1, k, k))
-    except (ValueError, MemoryError):  # numpy refuses, or malloc fails on, an array of that size
-        raise DataError(
-            f"{replications} replications at horizon {horizon} are too many to keep"
-        ) from None
     ok = np.ones(replications, dtype=bool)
     failures: list[str] = []
     for first in range(0, replications, block):

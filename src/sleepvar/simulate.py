@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import TextSource, checked_count, checked_names, checked_real, frozen_array, load_document
+from ._util import (TextSource, allocating, checked_count, checked_names, checked_real, frozen_array,
+                    load_document, overflow_checked)
 from .errors import DataError, NotPositiveDefiniteError
 from .frame import SeriesFrame
 from .linalg import cholesky_lower, stability_radius
@@ -122,10 +123,8 @@ def iterate_paths(
 
 def _draws(seed: int, shape: tuple[int, ...], steps: str) -> np.ndarray:
     """Standard normal draws of ``shape`` from stream 0 of ``seed``, or a DataError."""
-    try:
+    with allocating(f"{steps} = {shape[0]} steps are too many to simulate"):
         return substream(seed, 0).standard_normal(shape)
-    except (ValueError, MemoryError):  # numpy refuses, or malloc fails on, an array of that size
-        raise DataError(f"{steps} = {shape[0]} steps are too many to simulate") from None
 
 
 def simulate_var(spec: VarProcessSpec, t: int, seed: int) -> SeriesFrame:
@@ -152,11 +151,8 @@ def white_noise(t: int, seed: int, sd: float = 1.0) -> np.ndarray:
     """t independent Gaussian draws with standard deviation ``sd``, a finite
     positive real small enough that no draw overflows."""
     t, sd = checked_count(t, "t", 1), checked_real(sd, "sd", 0.0, np.inf)
-    try:
-        with np.errstate(over="raise"):
-            return sd * _draws(seed, (t,), "t")
-    except FloatingPointError:
-        raise DataError(f"sd {sd!r} is too large: a draw overflows") from None
+    with overflow_checked(f"sd {sd!r} is too large: a draw overflows"):
+        return sd * _draws(seed, (t,), "t")
 
 
 def load_process_spec(source: TextSource) -> VarProcessSpec:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import mackinnon
-from ._util import checked_choice, checked_count, checked_real, checked_series
+from ._util import checked_choice, checked_count, checked_real, checked_series, overflow_checked
 from .errors import DataError, NumericError
 from .linalg import RANK_RTOL, augmented_r, deficient_columns
 from .var import _lagged_design
@@ -89,6 +89,7 @@ def _adf_augmented(y: np.ndarray, k: int, ntrend: int) -> np.ndarray:
     return _lagged_design(np.diff(y)[:, None], k, lead=(*trend, y[k:-1]))
 
 
+@overflow_checked("series values are too large: the test regression overflows")
 def adf_test(series, regression: str = "constant", max_lag: int | None = None) -> AdfResult:
     """Augmented Dickey-Fuller test (null hypothesis: unit root present).
 
@@ -162,6 +163,7 @@ def recommend_differencing(series, alpha: float = 0.05) -> DifferencingDecision:
     return DifferencingDecision(res.p_value, res.p_value > alpha)
 
 
+@overflow_checked("series values are too large: a difference overflows")
 def difference(series, order: int = 1) -> np.ndarray:
     """Order-fold first differences; output length is T - order.  Missing
     values (NaN) are allowed and propagate."""
@@ -169,6 +171,7 @@ def difference(series, order: int = 1) -> np.ndarray:
     return np.diff(checked_series(series, order + 1, complete=False), n=order)
 
 
+@overflow_checked("series values are too large: the decomposition overflows")
 def classical_decompose(series, period: int = 7) -> Decomposition:
     """Additive classical decomposition with a centered moving-average trend.
 
@@ -212,6 +215,7 @@ def _autocovariances(y: np.ndarray, n_lags: int) -> np.ndarray:
     return acov
 
 
+@overflow_checked("series values are too large: the autocovariances overflow")
 def pacf(series, n_lags: int) -> PacfResult:
     """Partial autocorrelations via the Durbin-Levinson recursion.
 

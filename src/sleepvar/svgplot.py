@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .irf import IrfResult
+from .report import printable
 from .stationarity import Decomposition, PacfResult
 
 PANEL_W = 320
@@ -45,7 +46,6 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> str:
 def _text(name: str) -> str:
     """``name`` as XML character data: each control character, which XML 1.0
     forbids even as a reference, as its Python escape, then &, < and > escaped."""
-    from .report import printable  # not at module level: report loads inference, unused here
     return printable(name).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 

@@ -83,14 +83,14 @@ SCALARS = st.one_of(
     st.booleans(), st.booleans().map(np.bool_), st.text(max_size=3), st.none(),
     st.complex_numbers(max_magnitude=10.0),
 )
-# Entries of the short arrays.  A finite float stays below 1e300 in size:
-# the difference of two entries near the float maximum overflows to inf,
-# an IEEE result that numpy flags with a RuntimeWarning, not an escape.
-ENTRIES = st.one_of(INTS, st.floats(-1e300, 1e300), st.sampled_from([np.nan, np.inf, -np.inf]),
+# Entries of the short arrays: finite floats of any size (arithmetic that
+# overflows is a DataError), the non-finite ones, and non-numbers.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ENTRIES = st.one_of(INTS, FINITE, st.sampled_from([np.nan, np.inf, -np.inf]),
                     st.booleans(), st.text(max_size=2), st.none())
 ARRAYS = st.lists(ENTRIES, max_size=4)
 VALUES = st.one_of(SCALARS, ARRAYS, ARRAYS.map(lambda a: np.array(a, dtype=object)),
-                   st.lists(st.floats(-1e300, 1e300), max_size=4).map(np.array),
+                   st.lists(FINITE, max_size=4).map(np.array),
                    st.lists(INTS, min_size=2, max_size=2).map(lambda a: [a, a]))
 
 
@@ -152,10 +152,20 @@ PROBES = {
     "SeriesFrame('2020-01-01', ...)": lambda: sv.SeriesFrame("2020-01-01", ("x",), [[1.0]]).end_date,
     "SeriesFrame(20200101, ...)": lambda: sv.SeriesFrame(20200101, ("x",), [[1.0]]).end_date,
     "SeriesFrame(None, ...)": lambda: sv.SeriesFrame(None, ("x",), [[1.0]]).end_date,
+    # Arithmetic that overflows the float range, which numpy only warned of.
+    "difference(near float max)": lambda: sv.difference([1e308, -1e308]),
+    "pacf(near float max)": lambda: sv.pacf([1e308, -1e308] * 20, 3),
+    "adf_test(near float max)": lambda: sv.adf_test([1e308, -1e308, 5e307] * 10),
+    "classical_decompose(near float max)": lambda: sv.classical_decompose([1e308, -1e308] * 10, 2),
+    "impute(linear, near float max)": lambda: sv.impute(
+        sv.SeriesFrame(FRAME.start_date, ("x",), [[1e308], [np.nan], [-1e308]]), policy="linear"),
+    "describe(near float max)": lambda: sv.describe(
+        sv.SeriesFrame(FRAME.start_date, ("x",), [[1e308], [1e308]]), "x"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PROBES))
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's own warnings too
 def test_probe_raises_data_error(name):
     with pytest.raises(DataError):
         PROBES[name]()

@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 
 import sleepvar as sv
 from sleepvar._util import packed
-from sleepvar.cli import main
+from sleepvar.cli import _build_parser, _UsageError, main
 
-from conftest import DATA_DIR, GOLDEN_DIR, v1_model_text
+from conftest import DATA_DIR, GOLDEN_DIR, REPO, v1_model_text
 
 SLEEP = str(DATA_DIR / "sleep.csv")
 MOOD = str(DATA_DIR / "mood.csv")
@@ -556,6 +556,41 @@ def test_parser_reused_across_calls(capsys):
     assert in_process == [fresh_cli(*argv) for argv in calls]
 
 
+# Each subcommand's shortest valid argv, and the shared flags it accepts.
+SHARED_FLAG_ARGV = {
+    "ingest": ((), {"-o"}),
+    "describe": (("f",), {"-o", "--json", "--column"}),
+    "adf": (("f",), {"-o", "--json", "--column"}),
+    "decompose": (("f",), {"-o", "--json", "--column", "--svg"}),
+    "pacf": (("f",), {"-o", "--json", "--column", "--svg"}),
+    "select-order": (("f",), {"-o", "--json"}),
+    "fit": (("f", "--lags", "1"), {"-o", "--json"}),
+    "granger": (("m", "--causing", "x"), {"-o", "--json"}),
+    "irf": (("m",), {"-o", "--json", "--svg"}),
+    "simulate": (("--spec", "s", "--t", "1"), {"-o"}),
+}
+
+
+@pytest.mark.parametrize("flag", ["-o", "--json", "--column", "--svg"])
+@pytest.mark.parametrize("command", sorted(SHARED_FLAG_ARGV))
+def test_shared_flags_per_subcommand(command, flag):
+    rest, accepted = SHARED_FLAG_ARGV[command]
+    argv = [command, *rest, flag, *(() if flag == "--json" else ("x",))]
+    if flag in accepted:
+        _build_parser().parse_args(argv)
+    else:
+        with pytest.raises(_UsageError, match="unrecognized arguments"):
+            _build_parser().parse_args(argv)
+
+
+def test_json_flag_matches_readme():
+    readme = " ".join((REPO / "README.md").read_text(encoding="utf-8").split())
+    assert "`--json` (all but `ingest` and `simulate`)" in readme
+    assert {c for c, (_, flags) in SHARED_FLAG_ARGV.items() if "--json" not in flags} == {
+        "ingest", "simulate"}
+    assert set(SHARED_FLAG_ARGV) == set(_build_parser()._subparsers._group_actions[0].choices)
+
+
 @pytest.fixture(scope="module")
 def analysis_inputs(tmp_path_factory, dataset_frame):
     """A merged frame, its VAR(2) model and a process spec, as files."""
@@ -748,8 +783,16 @@ class TestDocumentFuzz:
         value = data.draw(packed_forms(real), label="residuals")
         code, err = self.run_edited(Path(analysis_inputs["model"]).parent, fields_json["model"],
                                     "residuals", value, ("granger", "{doc}", "--causing", "score"))
-        if json.dumps(value) != json.dumps(real):
+        # as data: the draw may put float64le before shape, but 5.0 is not 5
+        if json.dumps(value, sort_keys=True) != json.dumps(real, sort_keys=True):
             assert code == 2 and err.startswith("error: corrupted model document: residuals"), err
+
+    def test_granger_model_packed_residuals_key_order(self, analysis_inputs, fields_json):
+        real = json.loads(fields_json["model"]["residuals"])
+        swapped = {"float64le": real["float64le"], "shape": real["shape"]}
+        code, err = self.run_edited(Path(analysis_inputs["model"]).parent, fields_json["model"],
+                                    "residuals", swapped, ("granger", "{doc}", "--causing", "score"))
+        assert code == 0, err
 
     @given(field=st.sampled_from(MODEL_FIELDS), value=st.just(DELETE) | JSON_VALUES)
     @settings(max_examples=100, deadline=None)

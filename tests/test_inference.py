@@ -248,6 +248,7 @@ class TestGrangerWaldOracle:
     @pytest.mark.parametrize("causing, caused", [
         (("score",), ("depressed",)),
         (("score",), ("depressed", "anxious", "elevated")),
+        (("score", "irritable"), ("anxious", "depressed")),  # caused out of fit order
     ])
     def test_dataset_statistic(self, dataset_frame, p, causing, caused):
         mine = sv.granger_test(sv.fit_var(dataset_frame, p), causing, caused)
