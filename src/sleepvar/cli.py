@@ -65,11 +65,9 @@ def _note(message: str) -> None:
 def _series(args) -> np.ndarray:
     """The ``--column`` of the frame at ``args.frame``, or its only column."""
     frame = fr.read_frame_csv(args.frame)
-    if args.column is not None:
-        return frame.column(args.column)
-    if frame.n_vars == 1:
-        return frame.column(frame.names[0])
-    raise _UsageError(f"--column is required (frame has {frame.names})")
+    if args.column is None and frame.n_vars != 1:
+        raise _UsageError(f"--column is required (frame has {brief(frame.names)})")
+    return frame.column(frame.names[0] if args.column is None else args.column)
 
 
 def _cmd_ingest(args) -> int:
@@ -80,7 +78,7 @@ def _cmd_ingest(args) -> int:
         frames.append(fr.ingest_mood(args.emood, absent_as_zero=args.absent_as_zero))
     if not frames:
         raise _UsageError("ingest: provide --oura and/or --emood")
-    merged = fr.merge(frames) if len(frames) > 1 else frames[0]
+    merged = fr.merge(frames)
     if args.impute != "none":
         before = int(np.isnan(merged.values).sum())
         merged = fr.impute(merged, policy=args.impute, max_gap=args.max_gap)
@@ -95,7 +93,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_describe(args) -> int:
     frame = fr.read_frame_csv(args.frame)
-    names = [args.column] if args.column else list(frame.names)
+    names = list(frame.names) if args.column is None else [args.column]
     _show(
         args,
         {name: fr.describe(frame, name) for name in names},

@@ -302,7 +302,7 @@ def merge(frames: Sequence[SeriesFrame]) -> SeriesFrame:
     for f in frames:
         for name in f.names:
             if name in names:
-                raise DataError(f"duplicate variable name across frames: {name!r}")
+                raise DataError(f"duplicate variable name across frames: {brief(name)}")
             names.append(name)
 
     start = min(f.start_date for f in frames)

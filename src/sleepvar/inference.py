@@ -274,7 +274,7 @@ def granger_test(
     caused_t = _as_name_tuple(fit, caused, "caused")
     overlap = set(causing_t) & set(caused_t)
     if overlap:
-        raise DataError(f"causing and caused sets overlap: {sorted(overlap)}")
+        raise DataError(f"causing and caused sets overlap: {brief(sorted(overlap))}")
     if fit.p < 1:
         raise DataError("Granger test requires a fitted lag order of at least 1")
 

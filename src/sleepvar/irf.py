@@ -145,7 +145,8 @@ def irf_with_bands(
         )
 
     chol = cholesky_lower(fit.sigma_u)  # colors the shocks and orthogonalizes the point responses
-    phi = ma_coefficients(fit, horizon)
+    horizon = checked_count(horizon, "horizon")
+    phi = _ma_recursion(fit.coef, horizon)
     point = phi @ chol if orthogonalized else phi
 
     n_steps = DEFAULT_BURN_IN + t_eff

@@ -27,14 +27,14 @@ def printable(name: str) -> str:
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in name)
 
 
-def _table(rows: list[list[str]], align: str = "r", pad: int = 2) -> str:
+def _table(rows: list[list[str]], align: str = "r") -> str:
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
     out = []
     for r in rows:
         cells = []
         for c, cell in enumerate(r):
             cells.append(cell.ljust(widths[c]) if align == "l" or c == 0 else cell.rjust(widths[c]))
-        out.append((" " * pad).join(cells).rstrip())
+        out.append("  ".join(cells).rstrip())
     return "\n".join(out)
 
 

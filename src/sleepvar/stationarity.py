@@ -183,13 +183,10 @@ def classical_decompose(series, period: int = 7) -> Decomposition:
     y = checked_series(series, 2 * period)
     n = y.size
 
+    half = period // 2
+    weights = np.full(2 * half + 1, 1.0 / period)
     if period % 2 == 0:
-        weights = np.full(period + 1, 1.0 / period)
         weights[0] = weights[-1] = 0.5 / period
-        half = period // 2
-    else:
-        weights = np.full(period, 1.0 / period)
-        half = (period - 1) // 2
     trend = np.full(n, np.nan)
     trend[half : n - half] = np.convolve(y, weights, mode="valid")
 

@@ -290,7 +290,7 @@ def select_order(frame: SeriesFrame, max_lags: int, override: int | None = None)
     argmin unless ``override`` pins a lag explicitly.
     """
     max_lags = checked_count(max_lags, "max_lags")
-    if override is not None and checked_count(override, "override lag") > max_lags:
+    if override is not None and (override := checked_count(override, "override lag")) > max_lags:
         raise DataError(f"override lag {override} outside 0..{max_lags}")
     values = _values_or_raise(frame)
     t_total, k = values.shape

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,24 @@ import sleepvar as sv
 REPO = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO / "data"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SRC = str(Path(sv.__file__).resolve().parents[1])
+
+
+def run_python(*argv: str, threads: int | None = None, check: bool = True,
+               text: bool = True) -> subprocess.CompletedProcess:
+    """Run ``python *argv`` in a fresh interpreter that imports this sleepvar,
+    at ``threads`` BLAS threads when given.  ``check`` asserts that it exits
+    0, showing its stderr otherwise."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    if threads is not None:
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                                 str(threads)))
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=text,
+                          timeout=300)
+    if check:
+        assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def frames_equal(a: sv.SeriesFrame, b: sv.SeriesFrame) -> bool:
@@ -71,3 +92,13 @@ def dataset_frame() -> sv.SeriesFrame:
 @pytest.fixture(scope="session")
 def dataset_fit(dataset_frame) -> sv.VarFit:
     return sv.fit_var(dataset_frame, 2)
+
+
+@pytest.fixture(scope="session")
+def quickstart_files(tmp_path_factory, dataset_frame, dataset_fit) -> dict[str, str]:
+    """The quickstart's ``merged.csv`` and ``model.json`` of the bundled data,
+    the bytes ``ingest`` and ``fit --lags 2`` write.  Shared: copy to edit."""
+    root = tmp_path_factory.mktemp("quickstart")
+    sv.write_frame_csv(dataset_frame, root / "merged.csv")
+    sv.save_model(dataset_fit, root / "model.json")
+    return {"merged": str(root / "merged.csv"), "model": str(root / "model.json")}

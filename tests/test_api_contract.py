@@ -5,6 +5,7 @@ SleepVarError (a DataError) and nothing else, as the CLI does for bad input."""
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sleepvar as sv
+from sleepvar import report
 from sleepvar.errors import DataError, SleepVarError
 
 SPEC = sv.VarProcessSpec(("x", "y"), 1, [0.1, -0.2], [[[0.5, 0.1], [0.0, 0.3]]],
@@ -188,8 +190,10 @@ def test_seed_keying_is_modulo_2_64():
 
 
 def test_irf_result_seed_is_int():
-    res = sv.irf_with_bands(FIT, 2, replications=100, seed=np.int64(2))
+    res = sv.irf_with_bands(FIT, np.int64(2), replications=100, seed=np.int64(2))
     assert type(res.seed) is int and res.seed == 2
+    assert type(res.horizon) is int and res.horizon == 2
+    json.dumps(report.irf_dict(res))
     ref = sv.irf_with_bands(FIT, 2, replications=100, seed=2)
     assert np.array_equal(res.lower, ref.lower) and np.array_equal(res.upper, ref.upper)
 
@@ -205,3 +209,9 @@ def test_numpy_counts_and_reals_are_accepted():
     assert np.array_equal(sv.pacf(SERIES, np.int64(3)).values, sv.pacf(SERIES, 3).values)
     assert sv.fit_var(FRAME, np.uint8(1)).p == 1
     assert sv.granger_test(FIT, "x", "y", alpha=np.float64(0.1)).alpha == 0.1
+
+
+def test_select_order_override_is_int():
+    sel = sv.select_order(FRAME, 3, override=np.int64(1))
+    assert type(sel.selected) is int and sel.selected == 1
+    json.dumps(report.order_selection_dict(sel))

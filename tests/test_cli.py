@@ -7,10 +7,8 @@ import datetime as dt
 import io
 import json
 import math
-import os
 import re
 import shutil
-import subprocess
 import sys
 from pathlib import Path
 
@@ -23,27 +21,19 @@ import sleepvar as sv
 from sleepvar._util import packed
 from sleepvar.cli import _build_parser, _UsageError, main
 
-from conftest import DATA_DIR, GOLDEN_DIR, REPO, v1_model_text
+from conftest import DATA_DIR, GOLDEN_DIR, REPO, run_python, v1_model_text
 
 SLEEP = str(DATA_DIR / "sleep.csv")
 MOOD = str(DATA_DIR / "mood.csv")
-SRC = str(Path(sv.__file__).resolve().parents[1])
+# A stable two-variable VAR(1) process document.
+SPEC_DOC = {"var_names": ["x", "y"], "p": 1, "intercept": [0.0, 0.0],
+            "coef": [[[0.5, 0.1], [0.0, 0.4]]], "sigma_u": [[1.0, 0.0], [0.0, 1.0]]}
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def cli_with_threads(threads: str, *argv) -> bytes:
-    """Run the CLI in a fresh interpreter with ``threads`` BLAS threads; its stdout bytes."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "sleepvar.cli", *argv],
-                          env=env, capture_output=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-    return proc.stdout
 
 
 # Bound on the peak-RSS growth of `irf` from 100 to 2000 replications on
@@ -63,11 +53,7 @@ def child_peak_rss_mb(*argv) -> float:
         "    assert not exc.code, exc.code\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script, *argv],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    proc = run_python("-c", script, *argv, threads=1)
     # ru_maxrss is in bytes on macOS, in KiB elsewhere
     return int(proc.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
 
@@ -85,24 +71,16 @@ sv.adf_test(frame.column("score"))
 sv.granger_all_pairs(sv.fit_var(frame, 2), "score")
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script, SLEEP, MOOD],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_python("-c", script, SLEEP, MOOD).stdout.strip() == "[]"
 
 
-def test_irf_peak_memory_flat_in_replications(tmp_path, capsys):
+def test_irf_peak_memory_flat_in_replications(quickstart_files, tmp_path):
     # bootstrap replications run in blocks of fixed size, so peak memory
     # grows only by the response draws the quantiles need (2.2 KB per
     # replication here); a (replications x (200+T) x K) array would add
     # 130 MB at 2000 replications
-    model = tmp_path / "model.json"
-    run(capsys, "ingest", "--oura", SLEEP, "--emood", MOOD, "-o", str(tmp_path / "m.csv"))
-    run(capsys, "fit", str(tmp_path / "m.csv"), "--lags", "2", "-o", str(model))
-    small, large = (child_peak_rss_mb("irf", str(model), "--replications", str(reps),
-                                      "-o", str(tmp_path / f"irf{reps}.csv"))
+    small, large = (child_peak_rss_mb("irf", quickstart_files["model"], "--replications",
+                                      str(reps), "-o", str(tmp_path / f"irf{reps}.csv"))
                     for reps in (100, 2000))
     assert large - small < IRF_RSS_GROWTH_MB, (small, large)
 
@@ -165,11 +143,9 @@ class TestExitCodes:
         assert code == 2 and "missing" in err
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_model_is_data_error(self, tmp_path, capsys, bad):
-        merged, model = tmp_path / "m.csv", tmp_path / "model.json"
-        run(capsys, "ingest", "--oura", SLEEP, "--emood", MOOD, "-o", str(merged))
-        run(capsys, "fit", str(merged), "--lags", "2", "-o", str(model))
-        doc = json.loads(model.read_text())
+    def test_non_finite_model_is_data_error(self, quickstart_files, tmp_path, capsys, bad):
+        model = tmp_path / "model.json"
+        doc = json.loads(Path(quickstart_files["model"]).read_text())
         doc["coef"][0][0][0] = bad
         model.write_text(json.dumps(doc))  # writes the NaN / Infinity tokens
         for argv in (("irf", str(model), "--replications", "100"),
@@ -181,11 +157,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("field, cell, argv", [
         ("normal_matrix_inverse", (1, 6), ("granger", "--causing", "score")),
     ])
-    def test_asymmetric_model_is_data_error(self, tmp_path, capsys, field, cell, argv):
-        merged, model = tmp_path / "m.csv", tmp_path / "model.json"
-        run(capsys, "ingest", "--oura", SLEEP, "--emood", MOOD, "-o", str(merged))
-        run(capsys, "fit", str(merged), "--lags", "2", "-o", str(model))
-        doc = json.loads(model.read_text())
+    def test_asymmetric_model_is_data_error(self, quickstart_files, tmp_path, capsys,
+                                            field, cell, argv):
+        model = tmp_path / "model.json"
+        doc = json.loads(Path(quickstart_files["model"]).read_text())
         doc[field][cell[0]][cell[1]] += 1.0  # a cell the command reads, its mirror untouched
         model.write_text(json.dumps(doc))
         code, out, err = run(capsys, argv[0], str(model), *argv[1:])
@@ -193,29 +168,28 @@ class TestExitCodes:
         assert f"{field} is not symmetric" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("names", [["score"] * 5, [1, 2, 3, 4, 5]])
-    def test_bad_var_names_model_is_data_error(self, tmp_path, capsys, names):
-        merged, model = tmp_path / "m.csv", tmp_path / "model.json"
-        run(capsys, "ingest", "--oura", SLEEP, "--emood", MOOD, "-o", str(merged))
-        run(capsys, "fit", str(merged), "--lags", "2", "-o", str(model))
-        doc = json.loads(model.read_text())
+    def test_bad_var_names_model_is_data_error(self, quickstart_files, tmp_path, capsys, names):
+        model = tmp_path / "model.json"
+        doc = json.loads(Path(quickstart_files["model"]).read_text())
         doc["var_names"] = names
         model.write_text(json.dumps(doc))
         code, out, err = run(capsys, "granger", str(model), "--causing", "score")
         assert code == 2 and out == ""
         assert "corrupted model document: var_names" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("edit, causing", [
-        (lambda doc: doc.update(p=10**400), "score"),  # echoed in the coef shape
-        (lambda doc: doc["var_names"].__setitem__(0, "v" * 5000), "nope"),
-    ], ids=["huge-p", "long-name"])
-    def test_error_message_caps_what_it_repeats(self, tmp_path, capsys, edit, causing):
-        merged, model = tmp_path / "m.csv", tmp_path / "model.json"
-        run(capsys, "ingest", "--oura", SLEEP, "--emood", MOOD, "-o", str(merged))
-        run(capsys, "fit", str(merged), "--lags", "2", "-o", str(model))
-        doc = json.loads(model.read_text())
+    @pytest.mark.parametrize("edit, causing, caused", [
+        (lambda doc: doc.update(p=10**400), "score", ()),  # echoed in the coef shape
+        (lambda doc: doc["var_names"].__setitem__(0, "v" * 5000), "nope", ()),
+        (lambda doc: doc["var_names"].__setitem__(0, "v" * 5000), "v" * 5000,
+         ("--caused", "v" * 5000)),  # echoed as the overlap of the two sets
+    ], ids=["huge-p", "long-name", "overlap"])
+    def test_error_message_caps_what_it_repeats(self, quickstart_files, tmp_path, capsys,
+                                                edit, causing, caused):
+        model = tmp_path / "model.json"
+        doc = json.loads(Path(quickstart_files["model"]).read_text())
         edit(doc)
         model.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "granger", str(model), "--causing", causing)
+        code, out, err = run(capsys, "granger", str(model), "--causing", causing, *caused)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
         assert "Traceback" not in err
@@ -238,6 +212,21 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["adf", "decompose", "pacf"])
+    def test_usage_error_caps_the_names_it_repeats(self, tmp_path, capsys, command):
+        # without --column, the usage error lists the frame's column names
+        path = tmp_path / "wide.csv"
+        path.write_text(f"date,a,{'x' * 100_000}\n2020-01-01,1,2\n")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: --column is required") and len(err) < 300
+
+    @pytest.mark.parametrize("command", ["describe", "adf", "decompose", "pacf"])
+    def test_empty_column_is_unknown(self, quickstart_files, capsys, command):
+        code, out, err = run(capsys, command, quickstart_files["merged"], "--column", "")
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown column ''; frame has ('score', ")
 
     # 2**62 only: numpy refuses an array that large before allocating anything.
     @pytest.mark.parametrize("argv, burn_in, message", [
@@ -372,11 +361,8 @@ class TestIngest:
 
 class TestAnalysisCommands:
     @pytest.fixture()
-    def merged(self, tmp_path, capsys):
-        path = tmp_path / "merged.csv"
-        assert run(capsys, "ingest", "--oura", SLEEP, "--emood", MOOD,
-                   "-o", str(path))[0] == 0
-        return str(path)
+    def merged(self, quickstart_files):
+        return quickstart_files["merged"]
 
     def test_describe_text_and_json(self, merged, capsys):
         code, out, _ = run(capsys, "describe", merged, "--column", "score")
@@ -450,23 +436,21 @@ class TestAnalysisCommands:
         assert sv.load_model(io.StringIO(out)).p == 2
         assert not (tmp_path / "-").exists()
 
-    def test_granger_table(self, merged, tmp_path, capsys):
-        model = tmp_path / "model.json"
-        run(capsys, "fit", merged, "--lags", "2", "-o", str(model))
-        code, out, _ = run(capsys, "granger", str(model), "--causing", "score")
+    def test_granger_table(self, quickstart_files, capsys):
+        model = quickstart_files["model"]
+        code, out, _ = run(capsys, "granger", model, "--causing", "score")
         assert code == 0
         assert out.splitlines()[0].startswith("Causal Variable")
         assert len(out.splitlines()) == 5
-        code, out, _ = run(capsys, "granger", str(model), "--causing", "score",
+        code, out, _ = run(capsys, "granger", model, "--causing", "score",
                            "--caused", "depressed", "--json")
         doc = json.loads(out)
         assert len(doc) == 1 and doc[0]["reject_null"] is True
 
-    def test_irf_csv_svg_and_json(self, merged, tmp_path, capsys):
-        model = tmp_path / "model.json"
-        run(capsys, "fit", merged, "--lags", "2", "-o", str(model))
+    def test_irf_csv_svg_and_json(self, quickstart_files, tmp_path, capsys):
+        model = quickstart_files["model"]
         svg = tmp_path / "irf.svg"
-        code, out, _ = run(capsys, "irf", str(model), "--replications", "120",
+        code, out, _ = run(capsys, "irf", model, "--replications", "120",
                            "--horizon", "4", "--svg", str(svg))
         assert code == 0
         lines = out.splitlines()
@@ -477,7 +461,7 @@ class TestAnalysisCommands:
         hi = [float(l.split(",")[5]) for l in lines[1:]]
         assert all(a <= b <= c for a, b, c in zip(lo, est, hi))
         assert "polygon" in svg.read_text()
-        code, out, _ = run(capsys, "irf", str(model), "--replications", "120",
+        code, out, _ = run(capsys, "irf", model, "--replications", "120",
                            "--horizon", "4", "--json")
         doc = json.loads(out)
         assert doc["replications"] == 120 and len(doc["responses"]) == 5
@@ -485,15 +469,8 @@ class TestAnalysisCommands:
 
 class TestSimulateCommand:
     def test_simulate_round_trip(self, tmp_path, capsys):
-        spec_doc = {
-            "var_names": ["x", "y"],
-            "p": 1,
-            "intercept": [0.0, 0.0],
-            "coef": [[[0.5, 0.1], [0.0, 0.4]]],
-            "sigma_u": [[1.0, 0.0], [0.0, 1.0]],
-        }
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec_doc))
+        spec_path.write_text(json.dumps(SPEC_DOC))
         out = tmp_path / "sim.csv"
         code, _, _ = run(capsys, "simulate", "--spec", str(spec_path), "--t", "200",
                          "--seed", "3", "-o", str(out))
@@ -513,7 +490,7 @@ class TestModelDocuments:
 
     @pytest.fixture(scope="class")
     def v1_model(self, analysis_inputs, dataset_fit):
-        path = Path(analysis_inputs["model"]).with_name("model_v1.json")
+        path = Path(analysis_inputs["spec"]).with_name("model_v1.json")
         path.write_text(v1_model_text(dataset_fit))
         return str(path)
 
@@ -536,15 +513,6 @@ class TestModelDocuments:
         assert run(capsys, "simulate", "--spec", v1_model, *argv) == v2
 
 
-def fresh_cli(*argv) -> tuple[int, str, str]:
-    """Run the CLI in a fresh interpreter: exit code, stdout, stderr."""
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "sleepvar.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=300)
-    return proc.returncode, proc.stdout, proc.stderr
-
-
 def test_parser_reused_across_calls(capsys):
     # the parser is built once per process; a usage error, --version and a
     # repeated command must read as they do in a fresh interpreter
@@ -553,7 +521,8 @@ def test_parser_reused_across_calls(capsys):
     in_process = [run(capsys, *argv) for argv in calls]
     assert in_process[2] == in_process[3] and in_process[2][0] == 0
     assert [c for c, _, _ in in_process] == [1, 0, 0, 0]
-    assert in_process == [fresh_cli(*argv) for argv in calls]
+    fresh = [run_python("-m", "sleepvar.cli", *argv, check=False) for argv in calls]
+    assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
 
 
 # Each subcommand's shortest valid argv, and the shared flags it accepts.
@@ -592,16 +561,12 @@ def test_json_flag_matches_readme():
 
 
 @pytest.fixture(scope="module")
-def analysis_inputs(tmp_path_factory, dataset_frame):
-    """A merged frame, its VAR(2) model and a process spec, as files."""
-    root = tmp_path_factory.mktemp("contract")
-    merged, model, spec = root / "merged.csv", root / "model.json", root / "spec.json"
-    sv.write_frame_csv(dataset_frame, merged)
-    sv.save_model(sv.fit_var(dataset_frame, 2), model)
-    spec.write_text(json.dumps({"var_names": ["x", "y"], "p": 1, "intercept": [0.0, 0.0],
-                                "coef": [[[0.5, 0.1], [0.0, 0.4]]],
-                                "sigma_u": [[1.0, 0.0], [0.0, 1.0]]}))
-    return {"merged": str(merged), "model": str(model), "spec": str(spec)}
+def analysis_inputs(tmp_path_factory, quickstart_files):
+    """The quickstart's merged frame and VAR(2) model, and a process spec in a
+    directory of this module's own, as files."""
+    spec = tmp_path_factory.mktemp("contract") / "spec.json"
+    spec.write_text(json.dumps(SPEC_DOC))
+    return {**quickstart_files, "spec": str(spec)}
 
 
 DOCUMENT_COMMANDS = [
@@ -659,7 +624,7 @@ class TestOutputContract:
 
 
 class TestIdempotence:
-    def test_every_artifact_is_byte_stable(self, tmp_path, capsys):
+    def test_every_artifact_is_byte_stable(self, quickstart_files, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         a.mkdir(), b.mkdir()
         for d in (a, b):
@@ -674,25 +639,23 @@ class TestIdempotence:
                        "--svg", str(d / "irf.svg"))[0] == 0
         for name in ("merged.csv", "model.json", "granger.txt", "irf.csv", "irf.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        for path in map(Path, quickstart_files.values()):  # the shared inputs are these bytes
+            assert path.read_bytes() == (a / path.name).read_bytes(), path.name
 
-    def test_irf_bytes_independent_of_blas_threads(self, tmp_path, capsys):
-        model = tmp_path / "model.json"
-        run(capsys, "ingest", "--oura", SLEEP, "--emood", MOOD, "-o", str(tmp_path / "m.csv"))
-        run(capsys, "fit", str(tmp_path / "m.csv"), "--lags", "2", "-o", str(model))
+    def test_irf_bytes_independent_of_blas_threads(self, quickstart_files, tmp_path):
         outputs = []
-        for threads in ("1", "2"):
+        for threads in (1, 2):
             out = tmp_path / f"irf{threads}.csv"
-            cli_with_threads(threads, "irf", str(model), "--replications", "120",
-                             "--seed", "0", "-o", str(out))
+            run_python("-m", "sleepvar.cli", "irf", quickstart_files["model"], "--replications",
+                       "120", "--seed", "0", "-o", str(out), threads=threads)
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_select_order_bytes_independent_of_blas_threads(self, tmp_path, capsys):
-        merged = tmp_path / "m.csv"
-        run(capsys, "ingest", "--oura", SLEEP, "--emood", MOOD, "-o", str(merged))
+    def test_select_order_bytes_independent_of_blas_threads(self, quickstart_files):
         outputs = [
-            cli_with_threads(threads, "select-order", str(merged), "--maxlags", "15")
-            for threads in ("1", "2")
+            run_python("-m", "sleepvar.cli", "select-order", quickstart_files["merged"],
+                       "--maxlags", "15", threads=threads, text=False).stdout
+            for threads in (1, 2)
         ]
         assert outputs[0] == outputs[1]
         assert outputs[0] == (GOLDEN_DIR / "select_order_maxlags15.txt").read_bytes()
@@ -773,7 +736,7 @@ class TestDocumentFuzz:
     @given(field=st.sampled_from(MODEL_FIELDS), value=st.just(DELETE) | JSON_VALUES)
     @settings(max_examples=100, deadline=None)
     def test_granger_model(self, analysis_inputs, fields_json, field, value):
-        self.run_edited(Path(analysis_inputs["model"]).parent, fields_json["model"], field, value,
+        self.run_edited(Path(analysis_inputs["spec"]).parent, fields_json["model"], field, value,
                         ("granger", "{doc}", "--causing", "score"))
 
     @given(data=st.data())
@@ -781,7 +744,7 @@ class TestDocumentFuzz:
     def test_granger_model_packed_residuals(self, analysis_inputs, fields_json, data):
         real = json.loads(fields_json["model"]["residuals"])
         value = data.draw(packed_forms(real), label="residuals")
-        code, err = self.run_edited(Path(analysis_inputs["model"]).parent, fields_json["model"],
+        code, err = self.run_edited(Path(analysis_inputs["spec"]).parent, fields_json["model"],
                                     "residuals", value, ("granger", "{doc}", "--causing", "score"))
         # as data: the draw may put float64le before shape, but 5.0 is not 5
         if json.dumps(value, sort_keys=True) != json.dumps(real, sort_keys=True):
@@ -790,14 +753,14 @@ class TestDocumentFuzz:
     def test_granger_model_packed_residuals_key_order(self, analysis_inputs, fields_json):
         real = json.loads(fields_json["model"]["residuals"])
         swapped = {"float64le": real["float64le"], "shape": real["shape"]}
-        code, err = self.run_edited(Path(analysis_inputs["model"]).parent, fields_json["model"],
+        code, err = self.run_edited(Path(analysis_inputs["spec"]).parent, fields_json["model"],
                                     "residuals", swapped, ("granger", "{doc}", "--causing", "score"))
         assert code == 0, err
 
     @given(field=st.sampled_from(MODEL_FIELDS), value=st.just(DELETE) | JSON_VALUES)
     @settings(max_examples=100, deadline=None)
     def test_simulate_model_spec(self, analysis_inputs, fields_json, field, value):
-        self.run_edited(Path(analysis_inputs["model"]).parent, fields_json["model"], field, value,
+        self.run_edited(Path(analysis_inputs["spec"]).parent, fields_json["model"], field, value,
                         ("simulate", "--spec", "{doc}", "--t", "5"))
 
     @given(field=st.sampled_from(SPEC_FIELDS), value=st.just(DELETE) | JSON_VALUES)
@@ -943,9 +906,7 @@ def fuzz_inputs(tmp_path_factory, dataset_frame):
     sv.write_frame_csv(two, inputs["frame"])
     sv.write_frame_csv(sv.SeriesFrame(two.start_date, ("score",), two.values[:, :1]), inputs["column"])
     sv.save_model(sv.fit_var(two, 1), inputs["model"])
-    Path(inputs["spec"]).write_text(json.dumps({
-        "var_names": ["x", "y"], "p": 1, "intercept": [0.0, 0.0],
-        "coef": [[[0.5, 0.1], [0.0, 0.4]]], "sigma_u": [[1.0, 0.0], [0.0, 1.0]]}))
+    Path(inputs["spec"]).write_text(json.dumps(SPEC_DOC))
     return {**inputs, "dir": str(root)}
 
 

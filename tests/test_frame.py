@@ -158,6 +158,12 @@ class TestMerge:
         with pytest.raises(DataError, match="duplicate variable name"):
             sv.merge([a, b])
 
+    def test_name_collision_message_caps_the_name(self):
+        a = make_frame({"s" * 100_000: [1]})
+        with pytest.raises(DataError, match="duplicate variable name") as info:
+            sv.merge([a, a])
+        assert len(str(info.value)) < 300
+
     def test_empty_list(self):
         with pytest.raises(DataError):
             sv.merge([])

@@ -3,12 +3,9 @@
 import datetime as dt
 import inspect
 import json
-import os
-import subprocess
 import sys
 import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +29,7 @@ from sleepvar.linalg import (
 from sleepvar.simulate import substream
 from sleepvar.var import _lagged_design
 
-from conftest import VAR2_SPEC
+from conftest import VAR2_SPEC, run_python
 
 
 def gauss_solve(a, b):
@@ -256,40 +253,22 @@ def wide_design_digests(merged_csv: str) -> dict:
             "select-order": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
-def run_child(threads: str, script: str, *argv: str) -> str:
-    """Run ``script`` in a fresh interpreter with ``threads`` BLAS threads; its stdout."""
-    src = str(Path(sv.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-               MKL_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script, *argv],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
-
-
-@pytest.fixture(scope="module")
-def merged_csv(tmp_path_factory, dataset_frame) -> str:
-    path = tmp_path_factory.mktemp("blas") / "merged.csv"
-    sv.write_frame_csv(dataset_frame, path)
-    return str(path)
-
-
 class TestAugmentedR:
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_equals_numpy_qr_bit_for_bit(self, threads):
-        assert run_child(threads, QR_PARITY_SCRIPT) == "[]"
+        assert run_python("-c", QR_PARITY_SCRIPT, threads=threads).stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_wide_designs_same_bits_at_any_thread_count(self, threads, merged_csv):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_wide_designs_same_bits_at_any_thread_count(self, threads, quickstart_files):
         # the guard holds BLAS at one thread around every QR, so a child at
         # either thread count reproduces this process's bits
         if not HOLDS_BLAS_THREADS:
             pytest.skip("numpy's BLAS exports no thread setter here")
         script = (inspect.getsource(wide_design_digests)
                   + "import json, sys\nprint(json.dumps(wide_design_digests(sys.argv[1])))")
-        got = json.loads(run_child(threads, script, merged_csv))
-        assert got == wide_design_digests(merged_csv)
+        merged = quickstart_files["merged"]
+        got = json.loads(run_python("-c", script, merged, threads=threads).stdout)
+        assert got == wide_design_digests(merged)
 
     def test_default_leaves_argument_untouched(self):
         aug = augmented_stack(substream(11, 0).standard_normal((3, 90, 4)), 2)
