@@ -167,18 +167,18 @@ def f_sf(x: float, df_num: int, df_den: int) -> float:
     return _f_tails(x, df_num, df_den)[1]
 
 
-def _log_f_guess(q: float, df_num: float, df_den: float) -> float:
+def _log_f_guess(log_tail: float, upper: bool, df_num: float, df_den: float) -> float:
     """Log of Paulson's cube-root normal approximation to the F quantile, or 0.
 
     It only starts the quantile search, so the normal quantile comes from
     Abramowitz & Stegun 26.2.23 (error below 4.5e-4), and 0 (x = 1) stands
     in where the approximation has no positive root.
     """
-    r = math.sqrt(-2.0 * math.log(min(q, 1.0 - q)))
+    r = math.sqrt(-2.0 * log_tail)
     z = r - (2.515517 + r * (0.802853 + r * 0.010328)) / (
         1.0 + r * (1.432788 + r * (0.189269 + r * 0.001308))
     )
-    z = z if q > 0.5 else -z
+    z = z if upper else -z
     c1, c2 = 2.0 / (9.0 * df_num), 2.0 / (9.0 * df_den)
     lead = (1.0 - c2) ** 2 - z * z * c2
     disc = (1.0 - c1) ** 2 * c2 + (1.0 - c2) ** 2 * c1 - z * z * c1 * c2
@@ -191,10 +191,9 @@ def _log_f_guess(q: float, df_num: float, df_den: float) -> float:
 def f_ppf(q: float, df_num: int, df_den: int) -> float:
     """Quantile: the x with ``f_cdf(x) == q``.
 
-    Halley's method on t = log x for log(tail) = log(target), where the tail
-    is the CDF for q <= 1/2 and the survival function above, so quantiles
-    far out in either tail keep their relative accuracy.  Each evaluation
-    narrows a bracket on t; a step that would leave it bisects instead.
+    The search runs on the survival function for q > 1/2 and on the CDF
+    otherwise, so quantiles far out in either tail keep their relative
+    accuracy.
     """
     _check_df(df_num, df_den)
     q = checked_real(q, "probability", closed=True)
@@ -203,18 +202,31 @@ def f_ppf(q: float, df_num: int, df_den: int) -> float:
     if q == 1.0:
         return math.inf
     upper = q > 0.5
+    return _f_quantile(math.log1p(-q) if upper else math.log(q), upper, df_num, df_den,
+                       math.log(min(q, 1.0 - q)))
+
+
+def _f_quantile(log_tail: float, upper: bool, df_num: int, df_den: int,
+                guess_at: float) -> float:
+    """The x whose survival function (``upper``) or CDF is exp(``log_tail``) < 1.
+
+    Halley's method on t = log x for log(tail) = ``log_tail``, started from
+    the approximation at the log tail ``guess_at`` (f_ppf's start takes
+    log(1 - q), which can round apart from its target log1p(-q)).  Each
+    evaluation narrows a bracket on t; a step that would leave it bisects
+    instead.
+    """
     sign = 1.0 if upper else -1.0
-    log_target = math.log1p(-q) if upper else math.log(q)
     a, b = 0.5 * df_num, 0.5 * df_den
     lo, hi = -_LOG_F_BOUND, _LOG_F_BOUND
-    t = min(max(_log_f_guess(q, df_num, df_den), lo), hi)
+    t = min(max(_log_f_guess(guess_at, upper, df_num, df_den), lo), hi)
     for _ in range(_PPF_MAXIT):
         x = math.exp(t)
         cdf, sf, front = _f_tails(x, df_num, df_den)
         tail = sf if upper else cdf
         # g = sign * (log(target) - log(tail)) rises with t, and
         # g' = front / tail, g'' / g' = d log(front) / dt + sign * front / tail.
-        g = sign * (log_target - math.log(tail)) if tail > 0.0 else sign * math.inf
+        g = sign * (log_tail - math.log(tail)) if tail > 0.0 else sign * math.inf
         if g > 0.0:
             hi = t
         elif g < 0.0:
@@ -231,7 +243,9 @@ def f_ppf(q: float, df_num: int, df_den: int) -> float:
         if abs(step) <= _PPF_TOL:
             return math.exp(t + step)
         t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
-    raise ConvergenceError(f"F quantile search did not converge (q={q}, df=({df_num}, {df_den}))")
+    side = "upper" if upper else "lower"
+    raise ConvergenceError(f"F quantile search did not converge ({side} tail exp({log_tail}), "
+                           f"df=({df_num}, {df_den}))")
 
 
 @dataclass(frozen=True)
@@ -297,7 +311,8 @@ def granger_test(
     df_den = k * (fit.t_eff - k * fit.p - 1)  # >= K: every VarFit keeps a residual dof
     statistic = wald / df_num
     p_value = f_sf(statistic, df_num, df_den)
-    critical_value = f_ppf(1.0 - alpha, df_num, df_den)
+    log_alpha = math.log(alpha)  # 1 - alpha would round away a small alpha
+    critical_value = _f_quantile(log_alpha, True, df_num, df_den, log_alpha)
     return GrangerResult(
         causing=causing_t,
         caused=caused_t,

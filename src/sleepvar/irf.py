@@ -71,7 +71,7 @@ class IrfResult:
     seed: int
     var_names: tuple[str, ...]
     n_failed: int = 0                # refits masked out of the bands
-    failures: tuple[str, ...] = ()   # reasons of the first few failures
+    failures: tuple[str, ...] = ()   # the first five masked replications, in replication order
 
 
 def _ma_recursion(coef: np.ndarray, horizon: int) -> np.ndarray:
@@ -157,55 +157,48 @@ def irf_with_bands(
     centered = fit.residuals - fit.residuals.mean(axis=0)
     mean = unconditional_mean(fit.intercept, fit.coef)
 
-    storage = np.empty(block * n_steps * k)
+    shocks = np.empty((block, n_steps, k))
     with allocating(f"{replications} replications at horizon {horizon} are too many to keep"):
         draws = np.empty((replications, horizon + 1, k, k))
-    ok = np.ones(replications, dtype=bool)
-    failures: list[str] = []
+    failed: dict[int, str] = {}  # replication -> why its refit is masked
     for first in range(0, replications, block):
         b = min(block, replications - first)
-        shocks = storage[: b * n_steps * k].reshape(b, n_steps, k)
         for j in range(b):
             gen = substream(seed, first + j + 1)
             if innovations == "gaussian":
                 shocks[j] = gen.standard_normal((n_steps, k)) @ chol.T
             else:
                 shocks[j] = centered[gen.integers(0, t_eff, n_steps)]
-        sample = iterate_paths(fit.intercept, fit.coef, shocks, mean)[:, DEFAULT_BURN_IN:]
-        for start in range(0, b, stack):
+        sample = iterate_paths(fit.intercept, fit.coef, shocks[:b], mean)[:, DEFAULT_BURN_IN:]
+        for at in range(first, first + b, stack):
             # the design goes straight in, so it is freed before the next one is built
-            solved = solve_augmented(_lagged_design(sample[start : start + stack], p), m,
+            solved = solve_augmented(_lagged_design(sample[at - first : at - first + stack], p), m,
                                      overwrite_a=True)
             _, coef = unstack_params(solved.coefficients, p)
             phi = _ma_recursion(coef, horizon)
-            reasons = {int(c): rank_message(int(np.argmax(solved.deficient[c])))
-                       for c in np.flatnonzero(solved.deficient.any(axis=1))}
+            for c in np.flatnonzero(solved.deficient.any(axis=1)):
+                failed[at + int(c)] = rank_message(int(np.argmax(solved.deficient[c])))
             if orthogonalized:
                 # R_yy' R_yy is the residual cross-product, so R_yy' with its
                 # diagonal's signs, over sqrt(dof), factors the refit's covariance
                 r_yy = solved.r[:, m:, m:]
                 singular = deficient_columns(r_yy, k)
                 for c in np.flatnonzero(singular.any(axis=1)):
-                    reasons.setdefault(int(c), "residual covariance is singular: residual "
-                                       f"{np.argmax(singular[c])} is collinear with earlier ones")
+                    failed.setdefault(at + int(c), "residual covariance is singular: residual "
+                                      f"{np.argmax(singular[c])} is collinear with earlier ones")
                 signs = np.sign(np.diagonal(r_yy, axis1=1, axis2=2))
                 phi = phi @ (np.swapaxes(r_yy, 1, 2) * signs[:, None, :] / np.sqrt(dof))[:, None]
-            at = first + start
             draws[at : at + phi.shape[0]] = phi
-            for c in sorted(reasons):
-                ok[at + c] = False
-                if len(failures) < 5:
-                    failures.append(f"replication {at + c}: {reasons[c]}")
         del sample  # frees the block's paths before the next block's
-    n_failed = int((~ok).sum())
-    if n_failed > MAX_REFIT_FAILURE_RATE * replications:
+    failures = tuple(f"replication {r}: {failed[r]}" for r in sorted(failed)[:5])
+    if len(failed) > MAX_REFIT_FAILURE_RATE * replications:
         raise NumericError(
-            f"bootstrap refits failed in {n_failed}/{replications} replications; "
+            f"bootstrap refits failed in {len(failed)}/{replications} replications; "
             "first failures: " + "; ".join(failures)
         )
 
     tail = (1.0 - level) / 2.0
-    kept = draws[ok] if n_failed else draws
+    kept = np.delete(draws, list(failed), axis=0) if failed else draws
     lower, upper = np.quantile(kept, [tail, 1.0 - tail], axis=0, overwrite_input=True)
     return IrfResult(
         horizon=horizon,
@@ -217,6 +210,6 @@ def irf_with_bands(
         replications=replications,
         seed=seed,
         var_names=fit.var_names,
-        n_failed=n_failed,
-        failures=tuple(failures),
+        n_failed=len(failed),
+        failures=failures,
     )

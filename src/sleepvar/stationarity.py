@@ -203,8 +203,17 @@ def classical_decompose(series, period: int = 7) -> Decomposition:
 
 
 def _autocovariances(y: np.ndarray, n_lags: int) -> np.ndarray:
-    """Adjusted (unbiased-denominator) sample autocovariances at lags 0..n_lags."""
+    """Adjusted (unbiased-denominator) sample autocovariances at lags 0..n_lags,
+    up to a common power-of-two factor.
+
+    A series whose centered values are all below 1/2 is scaled up by a power
+    of two first.  That is exact, so the ratios keep their bits, and the
+    products of a small-scale series do not underflow.
+    """
     centered = y - y.mean()
+    peak = np.abs(centered).max()
+    if peak < 0.5:
+        centered = np.ldexp(centered, -np.frexp(peak)[1])
     n = y.size
     acov = np.empty(n_lags + 1)
     for k in range(n_lags + 1):
@@ -231,16 +240,15 @@ def pacf(series, n_lags: int) -> PacfResult:
     out = np.empty(n_lags + 1)
     out[0] = 1.0
     phi = np.zeros(n_lags + 1)  # phi[j] = coefficient j of the current order
-    prev = np.zeros(n_lags + 1)
     for k in range(1, n_lags + 1):
-        num = r[k] - prev[1:k] @ r[1:k][::-1]
-        den = 1.0 - prev[1:k] @ r[1:k]
+        num = r[k] - phi[1:k] @ r[1:k][::-1]
+        den = 1.0 - phi[1:k] @ r[1:k]
         if den <= 0.0:
             raise NumericError(
                 f"autocovariance sequence is numerically degenerate at lag {k}"
             )
         phi[k] = num / den
-        phi[1:k] = prev[1:k] - phi[k] * prev[1:k][::-1]
+        # the right side is formed before it overwrites phi[1:k]
+        phi[1:k] = phi[1:k] - phi[k] * phi[1:k][::-1]
         out[k] = phi[k]
-        prev[: k + 1] = phi[: k + 1]
     return PacfResult(values=out, band=WHITE_NOISE_Z / np.sqrt(y.size))

@@ -272,7 +272,12 @@ def _criteria(sigma_ml: np.ndarray, t_star: int, k: int, p: int) -> tuple[float,
         ) from None
     m = p * k * k + k
     regressors = k * p + 1
-    fpe = ((t_star + regressors) / (t_star - regressors)) ** k * math.exp(ld)
+    try:
+        det = math.exp(ld)
+    except OverflowError:
+        raise DataError(f"frame values are too large: the final prediction error overflows "
+                        f"at lag {p}") from None
+    fpe = ((t_star + regressors) / (t_star - regressors)) ** k * det
     return (
         ld + 2.0 * m / t_star,
         ld + m * math.log(t_star) / t_star,

@@ -228,6 +228,15 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: unknown column ''; frame has ('score', ")
 
+    def test_overflowing_fpe_is_data_error(self, dataset_frame, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        sv.write_frame_csv(dataclasses.replace(dataset_frame, values=dataset_frame.values * 1e60),
+                           path)
+        code, out, err = run(capsys, "select-order", str(path))
+        assert code == 2 and out == ""
+        assert err == ("error: frame values are too large: the final prediction error "
+                       "overflows at lag 0\n")
+
     # 2**62 only: numpy refuses an array that large before allocating anything.
     @pytest.mark.parametrize("argv, burn_in, message", [
         (("simulate", "--spec", "{spec}", "--t", "5"), 2**62, f"burn_in + t = {2**62 + 5} steps"),
@@ -822,10 +831,10 @@ CSV_COMMANDS = [("ingest", "--oura", "{csv}"), ("ingest", "--emood", "{csv}"),
 # valid, and the command would compute or allocate that much.  Every path
 # lies in the fixture's directory, so no draw writes anywhere else.
 HUGE = str(2**62)
-FRAMES = ["{frame}", "{column}"]
+FRAMES = ["{frame}", "{column}", "{huge}", "{tiny}"]
 COLUMNS = ["score", "depressed", "nope", "x" * 400]
 COUNTS = ["-1", "0", "1", "2", "3", "7", HUGE, "1e3", "x"]
-PROBABILITIES = ["0.05", "0.9", "0", "1", "-1", "nan", "inf", "x"]
+PROBABILITIES = ["0.05", "0.9", "0", "1", "-1", "nan", "inf", "x", "1e-300"]
 OUTPUTS = ["{out}", "-", "{dir}", "{missing}/out"]
 ARGV_POSITIONAL = {"describe": FRAMES, "adf": FRAMES, "decompose": FRAMES, "pacf": FRAMES,
                    "select-order": FRAMES, "fit": FRAMES, "granger": ["{model}"],
@@ -875,8 +884,8 @@ def argvs(draw):
     return argv
 
 
-# A NaN as Python, numpy or JSON print it; not letters inside base64.
-NAN = re.compile(r"(?<![\w+/])nan(?![\w+/])", re.IGNORECASE)
+# A NaN or an infinity as Python, numpy or JSON print it; not letters inside base64.
+NON_FINITE = re.compile(r"(?<![\w+/])(nan|inf|infinity)(?![\w+/])", re.IGNORECASE)
 
 
 def assert_cli_contract(argv) -> None:
@@ -888,7 +897,7 @@ def assert_cli_contract(argv) -> None:
     if code == 2:
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and len(errors[0]) < 300, err
-    assert not NAN.search(out), out
+    assert not NON_FINITE.search(out), out
 
 
 @pytest.fixture(scope="module")
@@ -898,13 +907,16 @@ def fuzz_inputs(tmp_path_factory, dataset_frame):
     root = tmp_path_factory.mktemp("fuzz")
     inputs = {name: str(root / file) for name, file in [
         ("sleep", "sleep.csv"), ("mood", "mood.csv"), ("frame", "frame.csv"),
-        ("column", "column.csv"), ("model", "model.json"), ("spec", "spec.json"),
+        ("column", "column.csv"), ("huge", "huge.csv"), ("tiny", "tiny.csv"),
+        ("model", "model.json"), ("spec", "spec.json"),
         ("csv", "doc.csv"), ("out", "out"), ("missing", "missing.csv")]}
     shutil.copy(SLEEP, inputs["sleep"])
     shutil.copy(MOOD, inputs["mood"])
     two = sv.SeriesFrame(dataset_frame.start_date, ("score", "depressed"), dataset_frame.values[:60, :2])
     sv.write_frame_csv(two, inputs["frame"])
     sv.write_frame_csv(sv.SeriesFrame(two.start_date, ("score",), two.values[:, :1]), inputs["column"])
+    for name, scale in (("huge", 1e100), ("tiny", 1e-170)):
+        sv.write_frame_csv(dataclasses.replace(two, values=two.values * scale), inputs[name])
     sv.save_model(sv.fit_var(two, 1), inputs["model"])
     Path(inputs["spec"]).write_text(json.dumps(SPEC_DOC))
     return {**inputs, "dir": str(root)}

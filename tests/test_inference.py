@@ -111,6 +111,19 @@ class TestFDistributionOracle:
                 f_ref.ppf(1.0 - res.alpha, res.df_num, res.df_den), rel=1e-12
             )
 
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-17, 1e-300])
+    def test_critical_value_far_in_the_upper_tail(self, dataset_fit, alpha):
+        # scipy's f.isf forms 1 - alpha, which rounds to 1 below 1e-16, so the
+        # reference inverts the survival function I_w(df_den/2, df_num/2) at
+        # w = df_den / (df_num x + df_den) directly
+        special = pytest.importorskip("scipy.special")
+        res = sv.granger_test(dataset_fit, "score", "depressed", alpha=alpha)
+        w = special.betaincinv(res.df_den / 2, res.df_num / 2, alpha)
+        assert math.isfinite(res.critical_value)
+        assert res.critical_value == pytest.approx(
+            res.df_den * (1.0 - w) / (res.df_num * w), rel=1e-10
+        )
+
 
 class TestGrangerTest:
     def test_planted_direction_detected(self):

@@ -249,6 +249,50 @@ class TestIrfWithBands:
         assert np.abs(res.lower - lower).max() <= 1e-12
         assert np.abs(res.upper - upper).max() <= 1e-12
 
+    @staticmethod
+    def singular_block_starts(monkeypatch, fit, n_blocks):
+        """Blocks of 7 replications, each refit in one stack, and the first
+        refit of each of the first ``n_blocks`` stacks loses its last R_yy
+        diagonal; returns the list of stack sizes the bootstrap refits."""
+        per_replication = (2 * (DEFAULT_BURN_IN + fit.t_eff) + fit.p) * fit.n_vars * 8
+        monkeypatch.setattr(irf_mod, "PATH_BLOCK_BYTES", 7 * per_replication)
+        solve = irf_mod.solve_augmented
+        stacks = []
+
+        def singular_first_refit(augmented, m, **kwargs):
+            solved = solve(augmented, m, **kwargs)
+            if len(stacks) < n_blocks:
+                solved.r[0, -1, -1] = 0.0
+            stacks.append(len(augmented))
+            return solved
+
+        monkeypatch.setattr(irf_mod, "solve_augmented", singular_first_refit)
+        return stacks
+
+    def test_too_many_failed_refits_abort_with_the_first_five(self, monkeypatch):
+        fit = sv.fit_var(sv.simulate_var(VAR2_SPEC, 400, seed=6), 2)
+        stacks = self.singular_block_starts(monkeypatch, fit, n_blocks=22)
+        with pytest.raises(NumericError) as info:
+            sv.irf_with_bands(fit, horizon=6, replications=150, seed=4)
+        assert stacks == [7] * 21 + [3]
+        reason = "residual covariance is singular: residual 1 is collinear with earlier ones"
+        assert str(info.value) == (
+            "bootstrap refits failed in 22/150 replications; first failures: "
+            + "; ".join(f"replication {r}: {reason}" for r in (0, 7, 14, 21, 28))
+        )
+
+    def test_failed_refits_listed_in_replication_order(self, monkeypatch):
+        fit = sv.fit_var(sv.simulate_var(VAR2_SPEC, 400, seed=6), 2)
+        stacks = self.singular_block_starts(monkeypatch, fit, n_blocks=2)
+        res = sv.irf_with_bands(fit, horizon=6, replications=200, seed=4)
+        assert stacks[:2] == [7, 7]
+        assert res.n_failed == 2
+        reason = "residual covariance is singular: residual 1 is collinear with earlier ones"
+        assert res.failures == (f"replication 0: {reason}", f"replication 7: {reason}")
+        lower, upper = looped_bands(fit, 6, 0.95, 200, 4, skip={0, 7})
+        assert np.abs(res.lower - lower).max() <= 1e-12
+        assert np.abs(res.upper - upper).max() <= 1e-12
+
     def test_tiny_variable_keeps_every_refit(self, dataset_frame, dataset_fit):
         # elevated * 1e-8 is the smallest power of ten the fit's own rank rule
         # accepts (3e-9 fails at L1.elevated): the refits' R_yy rule must not

@@ -372,6 +372,11 @@ class TestPacf:
         b = sv.pacf(-x, 15).values
         assert np.allclose(a, b, atol=1e-12)
 
+    def test_small_scale_keeps_its_bits(self):
+        # at 2**-600 the lag products underflow, and 0/0 would be NaN
+        x = ar1_sample(0.5, 300, seed=9)
+        assert np.array_equal(sv.pacf(x * 2.0**-600, 10).values, sv.pacf(x, 10).values)
+
     def test_errors(self):
         with pytest.raises(DataError, match="n_lags"):
             sv.pacf(np.arange(20.0), 10)

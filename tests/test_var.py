@@ -309,6 +309,14 @@ class TestSelectOrder:
                 _require_full_rank(deficient, dataset_fit.var_names)
             assert err.value.column == label
 
+    def test_fpe_overflow_is_data_error(self, dataset_frame):
+        # log det of the residual covariance passes 709, past math.exp's range
+        big = sv.SeriesFrame(dataset_frame.start_date, dataset_frame.names,
+                             dataset_frame.values * 1e60)
+        with pytest.raises(DataError, match="frame values are too large: the final prediction "
+                                            "error overflows at lag 0"):
+            sv.select_order(big, 15)
+
     def test_common_sample_matches_statsmodels(self):
         VAR = pytest.importorskip("statsmodels.tsa.api").VAR
         frame = sv.simulate_var(VAR2_SPEC, 800, seed=11)
