@@ -317,7 +317,6 @@ def merge(frames: Sequence[SeriesFrame]) -> SeriesFrame:
     return SeriesFrame(start, tuple(names), vals)
 
 
-@overflow_checked("values are too large: an interpolation overflows")
 def impute(
     frame: SeriesFrame,
     policy: str = DEFAULT_IMPUTE_POLICY,
@@ -352,9 +351,13 @@ def impute(
         vals[r, c] = lo
     else:  # np.linspace(lo, hi, a - b + 1)'s arithmetic, its denormal branch included
         a = after[r, c]
-        delta = vals[a, c] - lo
+        w, hi = (r - b) / (a - b), vals[a, c]
+        with np.errstate(over="ignore"):  # opposite-sign flanks near the float maximum
+            delta = hi - lo
         step = delta / (a - b)
-        vals[r, c] = np.where(step == 0, (r - b) / (a - b) * delta, (r - b) * step) + lo
+        vals[r, c] = np.where(step == 0, w * delta, (r - b) * step) + lo
+        over = np.isinf(delta)  # there, a form whose terms cannot overflow
+        vals[r[over], c[over]] = lo[over] * (1 - w[over]) + hi[over] * w[over]
     return SeriesFrame(frame.start_date, frame.names, vals)
 
 

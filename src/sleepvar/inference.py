@@ -244,6 +244,11 @@ def _f_quantile(log_tail: float, upper: bool, df_num: int, df_den: int,
             return math.exp(t + step)
         t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
     side = "upper" if upper else "lower"
+    if lo == -_LOG_F_BOUND or hi == _LOG_F_BOUND:  # g kept one sign: the root is past the bracket
+        where = "above e^700" if hi == _LOG_F_BOUND else "below e^-700"
+        raise DataError(f"F quantile of the {side} tail exp({log_tail:.6g}) with "
+                        f"df=({df_num}, {df_den}) is outside the float range the search covers "
+                        f"(e^-700 to e^700): it lies {where}")
     raise ConvergenceError(f"F quantile search did not converge ({side} tail exp({log_tail}), "
                            f"df=({df_num}, {df_den}))")
 

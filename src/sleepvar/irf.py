@@ -12,14 +12,17 @@ is bit-identical for a given seed regardless of scheduling, and replication
 r's draws do not change when the replication count grows.
 
 The bootstrap runs one block of replications at a time: draw, path
-recursion, refits, MA recursion.  A block's shocks and paths take about
-:data:`PATH_BLOCK_BYTES`; the paths run through
-:func:`~sleepvar.simulate.iterate_paths` in one time-major buffer.  Within a
-block the refits run in stacks of about :data:`REFIT_STACK_BYTES` of
-design: each stack's lagged designs come from the estimator's own builder,
-and the estimator's own solver (:func:`~sleepvar.linalg.solve_augmented`,
-one LAPACK ``dgeqrf`` per refit, in place on the stack's freshly built
-designs) gives the coefficients, R and the rank mask.  The MA recursion
+recursion, refits, MA recursion.  Blocks are sized by
+:data:`PATH_BLOCK_BYTES` and the refits within a block run in stacks of
+about :data:`REFIT_STACK_BYTES` of design.  Each call allocates two
+buffers, once, and every block and stack reuses them.  One is the
+time-major path buffer of :func:`~sleepvar.simulate.iterate_paths`: each
+replication's colored shocks are drawn straight into its column, and the
+paths then advance there in place.  The other holds one stack of designs,
+refilled per stack by the estimator's own builder; the estimator's own
+solver (:func:`~sleepvar.linalg.solve_augmented`, one LAPACK ``dgeqrf``
+per refit, in place on that buffer, whose contents it destroys) gives the
+coefficients, R and the rank mask.  The MA recursion
 and the orthogonalization then run over the whole stack; a refit's
 Cholesky factor is R_yy' with the signs of R_yy's diagonal, over sqrt(dof).
 :func:`~sleepvar.linalg.cholesky_lower` factors ``sigma_u`` once, for the
@@ -50,11 +53,13 @@ from .var import VarFit, _lagged_design, unconditional_mean, unstack_params
 INNOVATION_MODES = ("gaussian", "empirical")
 MIN_REPLICATIONS = 100
 MAX_REFIT_FAILURE_RATE = 0.01
-# Shock and path bytes per block of replications (63 replications on the
-# bundled data) and augmented-design bytes per stack of refits within a
-# block (16): they bound the working set, never the results.
+# Bytes per block of replications, counted as two copies of its paths (63
+# replications on the bundled data; the one path buffer takes half), and
+# augmented-design bytes per stack of refits within a block (8, so the
+# design buffer stays under numpy's 4 MB huge-page threshold): they bound
+# the working set, never the results.
 PATH_BLOCK_BYTES = 8 << 20
-REFIT_STACK_BYTES = 3 << 20
+REFIT_STACK_BYTES = 3 << 19
 
 
 @dataclass(frozen=True)
@@ -153,26 +158,29 @@ def irf_with_bands(
     # the fewest blocks the budget allows, of near-equal size
     n_blocks = -(-replications // max(1, PATH_BLOCK_BYTES // ((2 * n_steps + p) * k * 8)))
     block = -(-replications // n_blocks)
-    stack = max(1, REFIT_STACK_BYTES // ((t_eff - p) * (m + k) * 8))
+    stack = min(block, max(1, REFIT_STACK_BYTES // ((t_eff - p) * (m + k) * 8)))
     centered = fit.residuals - fit.residuals.mean(axis=0)
     mean = unconditional_mean(fit.intercept, fit.coef)
 
-    shocks = np.empty((block, n_steps, k))
+    storage = np.empty((p + n_steps) * k * max(block, 2))  # the paths of the widest block
+    design = np.empty((stack, m + k, t_eff - p)).swapaxes(-1, -2)  # _lagged_design's layout
     with allocating(f"{replications} replications at horizon {horizon} are too many to keep"):
         draws = np.empty((replications, horizon + 1, k, k))
     failed: dict[int, str] = {}  # replication -> why its refit is masked
     for first in range(0, replications, block):
         b = min(block, replications - first)
+        paths = storage[: (p + n_steps) * k * max(b, 2)].reshape(p + n_steps, k, max(b, 2))
         for j in range(b):
             gen = substream(seed, first + j + 1)
             if innovations == "gaussian":
-                shocks[j] = gen.standard_normal((n_steps, k)) @ chol.T
+                paths[p:, :, j] = gen.standard_normal((n_steps, k)) @ chol.T
             else:
-                shocks[j] = centered[gen.integers(0, t_eff, n_steps)]
-        sample = iterate_paths(fit.intercept, fit.coef, shocks[:b], mean)[:, DEFAULT_BURN_IN:]
+                paths[p:, :, j] = centered[gen.integers(0, t_eff, n_steps)]
+        sample = iterate_paths(fit.intercept, fit.coef, paths[p:, :, :b].transpose(2, 0, 1), mean,
+                               out=paths)[:, DEFAULT_BURN_IN:]
         for at in range(first, first + b, stack):
-            # the design goes straight in, so it is freed before the next one is built
-            solved = solve_augmented(_lagged_design(sample[at - first : at - first + stack], p), m,
+            rows = sample[at - first : at - first + stack]
+            solved = solve_augmented(_lagged_design(rows, p, out=design[: len(rows)]), m,
                                      overwrite_a=True)
             _, coef = unstack_params(solved.coefficients, p)
             phi = _ma_recursion(coef, horizon)
@@ -189,7 +197,6 @@ def irf_with_bands(
                 signs = np.sign(np.diagonal(r_yy, axis1=1, axis2=2))
                 phi = phi @ (np.swapaxes(r_yy, 1, 2) * signs[:, None, :] / np.sqrt(dof))[:, None]
             draws[at : at + phi.shape[0]] = phi
-        del sample  # frees the block's paths before the next block's
     failures = tuple(f"replication {r}: {failed[r]}" for r in sorted(failed)[:5])
     if len(failed) > MAX_REFIT_FAILURE_RATE * replications:
         raise NumericError(

@@ -87,23 +87,28 @@ def iterate_paths(
     coef: np.ndarray,
     innovations: np.ndarray,
     start: np.ndarray,
+    out=None,
 ) -> np.ndarray:
     """Run the VAR recursion for a batch of innovation paths.
 
     ``innovations`` has shape (B, n, K); ``start`` (broadcastable to (B, K))
     seeds the p pre-sample values.  Returns paths of shape (B, n, K).
 
-    The paths are advanced in one time-major (p+n, K, B) buffer, one column
-    per path: each step is one product of the lag window [A_p ... A_1] with
-    the p rows before it, added in place to the innovation and intercept.
-    A path's values do not depend on the batch size nor on its place in it.
+    The paths are advanced in one time-major (p+n, K, max(B, 2)) buffer, one
+    column per path: each step is one product of the lag window
+    [A_p ... A_1] with the p rows before it, added in place to the
+    innovation and intercept.  ``out``, a C-contiguous buffer of that shape,
+    is used instead of a fresh one, and the returned paths are its view;
+    ``innovations`` may be that buffer's own view ``out[p:, :, :B]``
+    transposed to (B, n, K).  A path's values do not depend on the batch
+    size nor on its place in it.
     """
     b, n, k = innovations.shape
     p = coef.shape[0]
     # numpy hands a one-column product to gemv, whose sums are ordered
     # differently from gemm's; a duplicate column keeps it on gemm.
     width = max(b, 2)
-    paths = np.empty((p + n, k, width))
+    paths = np.empty((p + n, k, width)) if out is None else out
     paths[:p] = np.broadcast_to(start, (b, k)).T
     paths[p:] = innovations.transpose(1, 2, 0)
     paths[p:] += intercept[:, None]

@@ -183,7 +183,7 @@ def _values_or_raise(frame: SeriesFrame) -> np.ndarray:
     return np.asarray(frame.values)
 
 
-def _lagged_design(values: np.ndarray, p: int, lead=()) -> np.ndarray:
+def _lagged_design(values: np.ndarray, p: int, lead=(), out=None) -> np.ndarray:
     """The augmented least-squares matrix [1, lead..., Y_{t-1}, ..., Y_{t-p} | Y_t].
 
     ``values`` is (..., T, K); leading axes stack independent series (the
@@ -192,11 +192,12 @@ def _lagged_design(values: np.ndarray, p: int, lead=()) -> np.ndarray:
     length T-p, placed after the constant; then comes one block of K
     columns per lag.  The matrix is stored column by column (Fortran
     order), the layout LAPACK factors, so the lag copies run along whole
-    columns however small K is.
+    columns however small K is.  ``out``, a matrix or stack of that shape
+    and layout, is filled instead of a fresh one.
     """
     *batch, t_total, k = values.shape
     m = 1 + len(lead) + k * p
-    augmented = np.empty((*batch, m + k, t_total - p)).swapaxes(-1, -2)
+    augmented = np.empty((*batch, m + k, t_total - p)).swapaxes(-1, -2) if out is None else out
     for j, column in enumerate((1.0, *lead)):
         augmented[..., j] = column
     for lag, start in enumerate(range(1 + len(lead), m, k), 1):

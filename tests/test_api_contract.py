@@ -159,8 +159,6 @@ PROBES = {
     "pacf(near float max)": lambda: sv.pacf([1e308, -1e308] * 20, 3),
     "adf_test(near float max)": lambda: sv.adf_test([1e308, -1e308, 5e307] * 10),
     "classical_decompose(near float max)": lambda: sv.classical_decompose([1e308, -1e308] * 10, 2),
-    "impute(linear, near float max)": lambda: sv.impute(
-        sv.SeriesFrame(FRAME.start_date, ("x",), [[1e308], [np.nan], [-1e308]]), policy="linear"),
     "describe(near float max)": lambda: sv.describe(
         sv.SeriesFrame(FRAME.start_date, ("x",), [[1e308], [1e308]]), "x"),
 }

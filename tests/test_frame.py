@@ -248,6 +248,12 @@ class TestImpute:
         assert got.tolist() == [0.0, 0.0, 5e-324, 5e-324]
         assert np.array_equal(got, row_loop_impute(f.values, "linear", 2)[:, 0])
 
+    def test_linear_fill_between_flanks_near_the_float_maximum(self):
+        # hi - lo overflows, but every value between the flanks is a float
+        f = make_frame({"s": [1e308, None, -1e308, None, None, None, 1e308, None, 1.5e308]})
+        got = sv.impute(f, "linear", 3).column("s")
+        assert got.tolist() == [1e308, 0.0, -1e308, -5e307, 0.0, 5e307, 1e308, 1.25e308, 1.5e308]
+
     @given(
         data=st.lists(
             st.one_of(st.none(), st.floats(-1e6, 1e6, allow_nan=False)),

@@ -49,6 +49,17 @@ class TestFDistribution:
         with pytest.raises(DataError, match="probability"):
             f_ppf(1.5, 2, 30)
 
+    def test_quantile_past_the_float_range_is_data_error(self):
+        # F(1, 1) has CDF ~ (2/pi) sqrt(x) near 0, so q = 1e-300 sits at x ~ 1e-600
+        with pytest.raises(DataError, match="lower tail .* outside the float range .* below"):
+            f_ppf(1e-300, 1, 1)
+        # F(1, 2)'s survival function ~ 1/x: alpha = 1e-310 sits at x ~ 1e310
+        fit = sv.fit_var(sv.simulate_var(PLANTED, 5, seed=3), 1)
+        res = sv.granger_test(fit, "x", "y", alpha=1e-300)
+        assert (res.df_num, res.df_den) == (1, 2) and 0.9e300 < res.critical_value < 1.1e300
+        with pytest.raises(DataError, match="upper tail .* outside the float range .* above"):
+            sv.granger_test(fit, "x", "y", alpha=1e-310)
+
 
 # The scipy oracle grid: numerator df up to a 150-restriction joint test,
 # denominator df from 1 to 10**6 (the dataset's model has 7210).

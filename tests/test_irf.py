@@ -2,6 +2,7 @@
 
 import dataclasses
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +306,29 @@ class TestIrfWithBands:
         assert res.n_failed == 0
         for band, unscaled in ((res.lower, base.lower), (res.upper, base.upper)):
             assert np.abs(band / d[:, None] - unscaled).max() <= 1e-12 * np.abs(unscaled).max()
+
+    def test_peak_memory_near_its_buffers(self, dataset_fit):
+        # one path buffer for the widest block and one design buffer for a
+        # stack, each allocated once per call: the traced peak is those two,
+        # the response draws and small temporaries (1.06x measured; with a
+        # shock array, a path buffer per block and a design per stack, 2.0x)
+        fit, replications, horizon = dataset_fit, 200, 10
+        k, p, t_eff = fit.n_vars, fit.p, fit.t_eff
+        n_steps, m = DEFAULT_BURN_IN + t_eff, k * p + 1
+        per_replication = (2 * n_steps + p) * k * 8
+        n_blocks = -(-replications // (irf_mod.PATH_BLOCK_BYTES // per_replication))
+        block = -(-replications // n_blocks)
+        stack = min(block, irf_mod.REFIT_STACK_BYTES // ((t_eff - p) * (m + k) * 8))
+        buffers = ((p + n_steps) * k * block + stack * (t_eff - p) * (m + k)
+                   + replications * (horizon + 1) * k * k) * 8
+        sv.irf_with_bands(fit, 1, replications=100)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            sv.irf_with_bands(fit, horizon, replications=replications)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.15 * buffers, (peak, buffers)
 
     @pytest.mark.parametrize("which", ["dataset", "k2"])
     def test_bands_independent_of_block_partition(self, which, dataset_fit, monkeypatch):

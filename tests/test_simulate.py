@@ -127,6 +127,25 @@ class TestIteratePaths:
             part = iterate_paths(intercept, coef, innovations[lo:hi], np.zeros(k))
             assert np.array_equal(part, batch[lo:hi])
 
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("b", [1, 2, 7])
+    def test_out_buffer_gives_the_allocating_bytes(self, k, p, b):
+        # into a given buffer, and with the innovations already in its columns
+        gen = substream(k * 100 + p * 10 + b, 5)
+        coef = gen.standard_normal((p, k, k)) * (0.3 / max(k * p, 1))
+        intercept = gen.standard_normal(k)
+        innovations = gen.standard_normal((b, 40, k))
+        start = gen.standard_normal((b, k))
+        want = iterate_paths(intercept, coef, innovations, start)
+        out = np.full((p + 40, k, max(b, 2)), np.nan)
+        got = iterate_paths(intercept, coef, innovations, start, out=out)
+        assert np.shares_memory(got, out) and got.tobytes() == want.tobytes()
+        out = np.full((p + 40, k, max(b, 2)), np.nan)
+        out[p:, :, :b] = innovations.transpose(1, 2, 0)
+        got = iterate_paths(intercept, coef, out[p:, :, :b].transpose(2, 0, 1), start, out=out)
+        assert np.shares_memory(got, out) and got.tobytes() == want.tobytes()
+
 
 class TestNoiseGenerators:
     def test_random_walk_differs_to_noise_draws(self):

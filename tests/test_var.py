@@ -15,7 +15,8 @@ from sleepvar.errors import (
     SingularDesignError,
 )
 from sleepvar._util import packed
-from sleepvar.var import _criteria, _require_full_rank, stack_params
+from sleepvar.simulate import substream
+from sleepvar.var import _criteria, _lagged_design, _require_full_rank, stack_params
 
 from conftest import VAR2_SPEC, make_frame, v1_model_text
 from test_linalg import gauss_solve
@@ -90,6 +91,18 @@ class TestLaggedDesign:
         f = make_frame({"a": [1, 2, 3], "b": [4, 5, 6]})
         design, targets = sv.build_lagged_design(f, 1)
         assert design.shape == (2, 3) and targets.shape == (2, 2)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("b", [1, 2, 7])
+    def test_out_buffer_gives_the_allocating_bytes(self, k, p, b):
+        # the bootstrap's paths: a strided view of a time-major buffer
+        values = substream(k * 100 + p * 10 + b, 6).standard_normal((30, k, b)).transpose(2, 0, 1)
+        want = _lagged_design(values, p)
+        out = np.full((b, 1 + k * p + k, 30 - p), np.nan).swapaxes(-1, -2)
+        got = _lagged_design(values, p, out=out)
+        assert got is out and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
 
     def test_missing_rejected(self):
         f = make_frame({"a": [1.0, None, 3.0, 4.0]})
