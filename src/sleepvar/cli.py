@@ -128,7 +128,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_pacf(args) -> int:
     series = _series(args)
-    n_lags = args.nlags if args.nlags is not None else min(40, series.size // 2 - 1)
+    n_lags = args.nlags if args.nlags is not None else max(0, min(40, series.size // 2 - 1))
     res = stationarity.pacf(series, n_lags)
     _show(args, res, report.pacf_csv, report.pacf_dict)
     if args.svg:

@@ -30,9 +30,9 @@ point responses and the shocks.
 Only the response draws the percentiles need are kept for every
 replication, so memory does not grow with the paths of all replications.
 A replication's results do not depend on the block or stack it lands in,
-nor on the BLAS thread count.  A refit whose design, or (orthogonalized)
-whose R_yy, fails the rank rule is masked and counted in
-``IrfResult.n_failed``; a fit whose refits
+nor on the BLAS thread count.  A refit whose R fails the rank rule the
+fit's own R must pass, at a design column or (orthogonalized) at a residual
+column, is masked and counted in ``IrfResult.n_failed``; a fit whose refits
 would keep no residual degree of freedom (fewer than K for orthogonalized
 bands, whose refit covariances would be singular) is rejected before any
 draw.
@@ -184,16 +184,15 @@ def irf_with_bands(
                                      overwrite_a=True)
             _, coef = unstack_params(solved.coefficients, p)
             phi = _ma_recursion(coef, horizon)
-            for c in np.flatnonzero(solved.deficient.any(axis=1)):
-                failed[at + int(c)] = rank_message(int(np.argmax(solved.deficient[c])))
+            deficient = deficient_columns(solved.r)[:, : m + k if orthogonalized else m]
+            for c in np.flatnonzero(deficient.any(axis=1)):
+                j = int(np.argmax(deficient[c]))  # a design column, else a residual's in R_yy
+                failed[at + int(c)] = rank_message(j) if j < m else (
+                    f"residual covariance is singular: residual {j - m} is collinear with earlier ones")
             if orthogonalized:
                 # R_yy' R_yy is the residual cross-product, so R_yy' with its
                 # diagonal's signs, over sqrt(dof), factors the refit's covariance
                 r_yy = solved.r[:, m:, m:]
-                singular = deficient_columns(r_yy, k)
-                for c in np.flatnonzero(singular.any(axis=1)):
-                    failed.setdefault(at + int(c), "residual covariance is singular: residual "
-                                      f"{np.argmax(singular[c])} is collinear with earlier ones")
                 signs = np.sign(np.diagonal(r_yy, axis1=1, axis2=2))
                 phi = phi @ (np.swapaxes(r_yy, 1, 2) * signs[:, None, :] / np.sqrt(dof))[:, None]
             draws[at : at + phi.shape[0]] = phi

@@ -11,7 +11,8 @@ normal equations or an SVD, and every answer is read from R =
   R[j:, m:]' R[j:, m:], so a nested order search (every column prefix)
   needs one factorization, not one per candidate;
 * ``(X'X)^-1`` is R_xx^-1 R_xx^-T;
-* small R diagonals mark rank-deficient columns, which callers raise or mask.
+* an R diagonal small against its own column marks the column rank
+  deficient in any units (:func:`deficient_columns`); callers raise or mask it.
 
 ``dgeqrf`` is called through numpy's own ``lapack_lite``, so only numpy's
 LAPACK and BLAS (and its one thread pool) are involved.  It factors a
@@ -123,7 +124,7 @@ class OneBlasThread(contextlib.ContextDecorator):
 one_blas_thread = OneBlasThread(_openblas_threads())
 HOLDS_BLAS_THREADS = one_blas_thread.threads is not None
 
-# Relative tolerance below which an R diagonal marks the design rank deficient.
+# Relative tolerance below which an R diagonal marks its column rank deficient.
 RANK_RTOL = 1e-10
 # Relative tolerance for the symmetry pre-check of Cholesky inputs.
 SYMMETRY_RTOL = 1e-10
@@ -163,15 +164,14 @@ class AugmentedSolve(NamedTuple):
         return r_inv @ np.swapaxes(r_inv, -1, -2)
 
 
-def deficient_columns(r: np.ndarray, m: int) -> np.ndarray:
-    """Mask of the columns of R[..., :m, :m] that mark the design rank deficient.
+def deficient_columns(r: np.ndarray) -> np.ndarray:
+    """Mask over R's columns with a diagonal: |R[j, j]| <= ``RANK_RTOL`` max_i |R[i, j]|.
 
-    A column is deficient when its R diagonal is at most ``RANK_RTOL`` times
-    the largest diagonal of the same R_xx (so an all-zero design fails at
-    column 0).  Leading axes of ``r`` are independent factorizations.
+    A zero column fails, and no verdict depends on a column's units or on
+    the columns after it.  Leading axes of ``r`` are independent factorizations.
     """
-    diag = np.abs(np.diagonal(r[..., :m, :m], axis1=-2, axis2=-1))
-    return diag <= RANK_RTOL * diag.max(axis=-1, keepdims=True, initial=0.0)
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    return diag <= RANK_RTOL * np.abs(r[..., : diag.shape[-1]]).max(axis=-2, initial=0.0)
 
 
 @one_blas_thread
@@ -226,7 +226,7 @@ def solve_augmented(augmented, m: int, overwrite_a: bool = False) -> AugmentedSo
     are zero.  Each matrix's results do not depend on the rest of the stack.
     """
     r = augmented_r(augmented, m, overwrite_a)
-    deficient = deficient_columns(r, m)
+    deficient = deficient_columns(r)[..., :m]
     bad = deficient.any(axis=-1)
     # R_xx is upper triangular, so partial pivoting keeps its diagonal and
     # numpy's solve is back substitution, on the one BLAS the package loads.
@@ -244,7 +244,7 @@ def solve_least_squares(design, targets) -> LeastSquares:
 
     One QR of [design | targets] through :func:`solve_augmented`.  Raises
     :class:`SingularDesignError` (with the offending column index) when an R
-    diagonal falls to ``RANK_RTOL`` times the largest or below.
+    diagonal falls to ``RANK_RTOL`` times its column's largest entry or below.
     """
     x, y = as_matrix(design, "design"), as_matrix(targets, "targets")
     (n, m), q = x.shape, y.shape[1]

@@ -16,7 +16,7 @@ Conventions worth spelling out once:
   of dy, with the trend and level columns after the constant.
 * A degenerate regression, where the level y_{t-1} lies in the span of the
   other regressors or dy is fitted exactly (a deterministic ramp), carries
-  no evidence either way and reports a statistic of 0.
+  no evidence either way and reports a statistic of 0, in any units.
 * p-values come from the bundled response-surface approximation
   (:mod:`sleepvar.mackinnon`).
 """
@@ -116,14 +116,14 @@ def adf_test(series, regression: str = "constant", max_lag: int | None = None) -
     # residual of the order-k regression.  Only the orders whose lag columns
     # all pass the rank rule compete: the Householder reflector of a
     # collinear column is built on rounding residue and removes a random
-    # direction from the target.  The SSR floor, relative to the target's
-    # own size, makes exact fits tie instead of ranking rounding noise.
+    # direction from the target.  The SSR floor, relative to the target's norm
+    # (read from R's last column), makes exact fits tie, not rank rounding noise.
     augmented = _adf_augmented(y, max_lag, ntrend)
     n, m_full = augmented.shape[0], augmented.shape[1] - 1
     base = ntrend + 1
-    floor = max((RANK_RTOL * np.linalg.norm(augmented[:, m_full])) ** 2, np.finfo(float).tiny)
     r = augmented_r(augmented, m_full, overwrite_a=True)
-    orders = 1 + int(np.cumprod(~deficient_columns(r, m_full)[base:]).sum())
+    floor = max((RANK_RTOL * np.linalg.norm(r[:, -1])) ** 2, np.finfo(float).tiny)
+    orders = 1 + int(np.cumprod(~deficient_columns(r)[base:m_full]).sum())
     ssr = np.cumsum(r[::-1, -1] ** 2)[::-1][base : base + orders]
     aic = n * np.log(np.maximum(ssr, floor) / n) + 2.0 * (base + np.arange(orders))
     used_lag = int(np.argmin(aic))
@@ -132,19 +132,16 @@ def adf_test(series, regression: str = "constant", max_lag: int | None = None) -
     # the level y_{t-1} moved to the last design column, its R diagonal is
     # its distance from the other columns' span, and the t-ratio
     # beta / se = sign(R[m-1, m-1]) R[m-1, m] sqrt(dof) / |R[m, m]| is read
-    # off R.  A level inside that span, or a target fitted exactly, leaves
-    # no unit-root evidence either way: the statistic is 0.
+    # off R.  The rank rule on R's last two columns finds a level inside that
+    # span, or a target fitted exactly: no unit-root evidence, a statistic of 0.
     augmented = _adf_augmented(y, used_lag, ntrend)
     n_obs, m = augmented.shape[0], augmented.shape[1] - 1
     dof = n_obs - m  # >= ntrend, as max_lag <= cap
     level = ntrend  # index of the y_{t-1} column
     moved = augmented.T[[*range(level), *range(level + 1, m), level, m]].T  # column-major
     r = augmented_r(moved, m, overwrite_a=True)
-    resid_norm = abs(r[m, m])
-    if deficient_columns(r, m)[-1] or resid_norm <= RANK_RTOL * np.linalg.norm(augmented[:, m]):
-        statistic = 0.0
-    else:
-        statistic = float(np.sign(r[m - 1, m - 1]) * r[m - 1, m] * np.sqrt(dof) / resid_norm)
+    statistic = 0.0 if deficient_columns(r)[m - 1 :].any() else float(
+        np.sign(r[m - 1, m - 1]) * r[m - 1, m] * np.sqrt(dof) / abs(r[m, m]))
 
     return AdfResult(
         statistic=statistic,

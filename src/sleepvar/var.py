@@ -21,7 +21,7 @@ import numpy as np
 
 from ._util import (
     SCHEMA_VERSION, TextSource, checked_count, checked_names, freeze, frozen_array, load_document,
-    norm_cdf, packed, write_text,
+    norm_cdf, overflow_checked, packed, write_text,
 )
 from .errors import DataError, NotPositiveDefiniteError, NumericError, SingularDesignError
 from .frame import SeriesFrame
@@ -241,6 +241,7 @@ def _require_full_rank(deficient: np.ndarray, names) -> None:
         )
 
 
+@overflow_checked("frame values are too large or too small: the fit overflows")
 def fit_var(frame: SeriesFrame, p: int) -> VarFit:
     """Estimate a VAR(p) on a fully-imputed frame (no missing cells).
 
@@ -263,14 +264,15 @@ def fit_var(frame: SeriesFrame, p: int) -> VarFit:
                   residuals=resid, normal_matrix_inverse=solved.normal_matrix_inverse())
 
 
-def _criteria(sigma_ml: np.ndarray, t_star: int, k: int, p: int) -> tuple[float, ...]:
-    """The criteria at lag ``p`` in :data:`CRITERIA` order."""
+def _criteria(sigma_ml: np.ndarray, t_star: int, names, p: int) -> tuple[float, ...]:
+    """The criteria at lag ``p`` in :data:`CRITERIA` order, for variables ``names``."""
     try:
         ld = log_det_pd(sigma_ml)
     except NotPositiveDefiniteError as exc:
-        raise NumericError(
-            f"log-determinant of the residual covariance underflowed to -inf at lag {p}: {exc}"
-        ) from None
+        raise NumericError(f"residual covariance at lag {p} is not positive definite: the residual "
+                           f"of {brief(names[exc.pivot])} is collinear with earlier ones, or the "
+                           "log-determinant underflowed to -inf") from None
+    k = len(names)
     m = p * k * k + k
     regressors = k * p + 1
     try:
@@ -287,6 +289,7 @@ def _criteria(sigma_ml: np.ndarray, t_star: int, k: int, p: int) -> tuple[float,
     )
 
 
+@overflow_checked("frame values are too large: the order search overflows")
 def select_order(frame: SeriesFrame, max_lags: int, override: int | None = None) -> OrderSelection:
     """Tabulate the four criteria for lags 0..max_lags on a common sample.
 
@@ -312,12 +315,13 @@ def select_order(frame: SeriesFrame, max_lags: int, override: int | None = None)
     # One QR of [X | Y] at max_lags: the lag-p design is the first 1 + K*p
     # columns of X, so its residual cross-product is R[1+K*p:, m:]' R[1+K*p:, m:].
     r = augmented_r(_lagged_design(values, max_lags), m, overwrite_a=True)
+    deficient = deficient_columns(r)
     table = np.empty((max_lags + 1, len(CRITERIA)))
     for p in range(max_lags + 1):
         width = 1 + k * p
-        _require_full_rank(deficient_columns(r, width), frame.names)
+        _require_full_rank(deficient[:width], frame.names)
         tail = r[width:, m:]
-        table[p] = _criteria(tail.T @ tail / t_star, t_star, k, p)
+        table[p] = _criteria(tail.T @ tail / t_star, t_star, frame.names, p)
 
     minima = {c: int(np.argmin(table[:, i])) for i, c in enumerate(CRITERIA)}
     if override is not None:

@@ -228,6 +228,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: unknown column ''; frame has ('score', ")
 
+    def test_pacf_default_lags_on_one_row_report_the_short_series(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("date,a\n2020-01-01,1\n")
+        code, out, err = run(capsys, "pacf", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: series too short: need at least 2 observations, got 1\n"
+
     def test_overflowing_fpe_is_data_error(self, dataset_frame, tmp_path, capsys):
         path = tmp_path / "big.csv"
         sv.write_frame_csv(dataclasses.replace(dataset_frame, values=dataset_frame.values * 1e60),

@@ -153,6 +153,15 @@ class TestAdf:
             assert res.statistic == pytest.approx(first.statistic, rel=1e-12, abs=1e-12)
             assert res.p_value == pytest.approx(first.p_value, rel=1e-12, abs=1e-12)
 
+    @given(power=st.integers(-150, 150))
+    @settings(max_examples=25, deadline=None)
+    def test_statistic_keeps_its_bits_in_any_units(self, power):
+        # a power-of-two scale is exact, and the rank rule reads each column
+        # against its own scale, so neither the order nor the t-ratio moves
+        y = np.cumsum(sv.white_noise(500, 3))
+        want, got = sv.adf_test(y), sv.adf_test(np.ldexp(y, power))
+        assert (got.statistic, got.used_lag) == (want.statistic, want.used_lag)
+
     @pytest.mark.parametrize("regression", ["constant", "constant_and_trend"])
     def test_matches_plain_ols_oracle(self, regression):
         series = [sv.random_walk(400, seed=s) + 10.0 for s in range(4)]

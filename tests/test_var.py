@@ -1,11 +1,14 @@
 """VAR estimation, criteria, order selection, and persistence tests."""
 
+import dataclasses
 import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sleepvar as sv
 from sleepvar.errors import (
@@ -249,7 +252,7 @@ class TestInformationCriteria:
         )
 
     def test_fpe_formula_point(self):
-        _, _, fpe, _ = _criteria(np.eye(2), 100, 2, 1)
+        _, _, fpe, _ = _criteria(np.eye(2), 100, ("a", "b"), 1)
         assert fpe == pytest.approx((103.0 / 97.0) ** 2, abs=1e-12)
 
     def test_white_noise_prefers_lag_zero(self):
@@ -263,7 +266,7 @@ class TestInformationCriteria:
 
     def test_determinant_underflow_reported(self):
         with pytest.raises(NumericError, match="underflow"):
-            _criteria(np.zeros((1, 1)), 50, 1, 1)
+            _criteria(np.zeros((1, 1)), 50, ("y",), 1)
 
 
 class TestSelectOrder:
@@ -322,6 +325,13 @@ class TestSelectOrder:
                 _require_full_rank(deficient, dataset_fit.var_names)
             assert err.value.column == label
 
+    def test_collinear_residual_named_by_variable(self, dataset_frame):
+        # at lag 0 the residuals are the centered variables, and dup's is an
+        # exact multiple of depressed's: the criteria name it, not a pivot
+        with pytest.raises(NumericError, match=r"the residual of 'dup' is collinear with "
+                                               r"earlier ones, or the log-determinant underflow"):
+            sv.select_order(with_dup(dataset_frame), 0)
+
     def test_fpe_overflow_is_data_error(self, dataset_frame):
         # log det of the residual covariance passes 709, past math.exp's range
         big = sv.SeriesFrame(dataset_frame.start_date, dataset_frame.names,
@@ -339,6 +349,73 @@ class TestSelectOrder:
             col = np.array([sm_sel.ics[name][lag] for lag in range(7)])
             assert np.allclose(sel.table[:, i], col, atol=1e-10)
             assert sel.minima[name] == int(sm_sel.selected_orders[name])
+
+
+def with_dup(frame: sv.SeriesFrame) -> sv.SeriesFrame:
+    """``frame`` plus a last column ``dup``, depressed * 2^-40: exactly collinear."""
+    dup = frame.values[:, frame.index_of("depressed")] * 2.0**-40
+    return dataclasses.replace(frame, names=(*frame.names, "dup"),
+                               values=np.column_stack([frame.values, dup]))
+
+
+def scaled(frame: sv.SeriesFrame, powers) -> tuple[sv.SeriesFrame, np.ndarray]:
+    """``frame`` with variable i in units 2^powers[i] times smaller, and the factors."""
+    c = np.ldexp(1.0, np.asarray(powers))
+    return dataclasses.replace(frame, values=frame.values * c), c
+
+
+class TestUnitFree:
+    """Scaling a variable by a power of two is exact, and so must every
+    estimate be: coefficients and responses scale, statistics keep their
+    bits, and no rank verdict depends on the units (Lutkepohl 2005, 3.2)."""
+
+    @pytest.fixture(scope="class")
+    def unscaled(self, dataset_fit):
+        bands = sv.irf_with_bands(dataset_fit, horizon=10, replications=200, seed=0)
+        return bands, sv.granger_all_pairs(dataset_fit, "score")
+
+    @given(powers=st.lists(st.integers(-150, 150), min_size=5, max_size=5))
+    @settings(max_examples=10, deadline=None)
+    def test_fit_tests_and_bands_scale_exactly(self, dataset_frame, dataset_fit, unscaled,
+                                               powers):
+        frame, c = scaled(dataset_frame, powers)
+        fit = sv.fit_var(frame, 2)
+        assert np.array_equal(fit.intercept, dataset_fit.intercept * c)
+        assert np.array_equal(fit.coef, dataset_fit.coef * c[:, None] / c)
+        assert np.array_equal(fit.coef_t, dataset_fit.coef_t)
+        bands, tests = unscaled
+        for got, want in zip(sv.granger_all_pairs(fit, "score"), tests):
+            assert (got.statistic, got.p_value) == (want.statistic, want.p_value)
+        res = sv.irf_with_bands(fit, horizon=10, replications=200, seed=0)
+        assert res.n_failed == 0
+        for name in ("responses", "lower", "upper"):
+            assert np.array_equal(getattr(res, name), getattr(bands, name) * c[:, None])
+
+    @given(powers=st.lists(st.integers(-40, 40), min_size=5, max_size=5))
+    @settings(max_examples=10, deadline=None)
+    def test_order_selection_keeps_its_choice(self, dataset_frame, powers):
+        want = sv.select_order(dataset_frame, 15)
+        got = sv.select_order(scaled(dataset_frame, powers)[0], 15)
+        assert (got.selected, got.minima) == (want.selected, want.minima)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_cross_product_overflow_is_data_error(self, dataset_frame, scale):
+        # the rank rule accepts any units, but (X'X)^-1 or u'u of a frame this
+        # far from unit scale leaves the float range: a DataError, no warning
+        frame = dataclasses.replace(dataset_frame, values=dataset_frame.values * scale)
+        with pytest.raises(DataError, match="frame values are too large or too small: the fit "
+                                            "overflows"):
+            sv.fit_var(frame, 2)
+        if scale > 1:
+            with pytest.raises(DataError, match="too large: the order search overflows"):
+                sv.select_order(frame, 15)
+
+    @pytest.mark.parametrize("power", [0, -100, 100])
+    def test_collinear_column_named_at_any_scale(self, dataset_frame, power):
+        frame, _ = scaled(with_dup(dataset_frame), [power] * 6)
+        with pytest.raises(SingularDesignError) as err:
+            sv.fit_var(frame, 2)
+        assert err.value.column == "L1.dup"
 
 
 class TestPersistence:
