@@ -112,57 +112,70 @@ class SeriesFrame:
 
 
 # --- Text parsing ------------------------------------------------------------
-# A parser reads its text once through _Rows: one csv.reader split, the
+# A reader reads its text once through _Rows: one csv.reader split, the
 # header check, and the data rows as columns.  Each distinct cell of a value
-# column goes once through its kind's rule (exports and frames repeat a few
-# cells many times), rule(name, cell), which returns the cell's value or the
-# message of its fault.  The parser then builds one boolean mask over the
-# rows per check, in the order a row is checked: the date, then the
-# duplicate date (sleep) or the contiguous grid (frame), then the value
-# cells from left to right.  _raise_first raises the first faulty row's
-# first failing check, the error a row-by-row parser would raise; only then
-# is its line counted.  Line numbers count CSV records as csv.reader yields
-# them: the header is line 1, and blank rows count.  Every cell, name or
-# header a message echoes is cut by reprlib.repr.
+# column goes once through the reader's rule, rule(name, cell), which returns
+# the cell's value or the message of its fault (exports and frames repeat a
+# few cells many times).  _Rows keeps one boolean mask over the rows per
+# check; raise_first adds the reader's own row check (a repeated date for
+# sleep, a break in the grid for frames) after the date's and before the
+# cells', and raises the first faulty row's first failing check, the error a
+# row-by-row parser would raise; only then is its line counted.  Line numbers
+# count CSV records as csv.reader yields them: the header is line 1, and
+# blank rows count.  Every cell, name or header a message echoes is cut by
+# reprlib.repr.
 
 
 class _Rows:
     """The data rows of a CSV text: the records after the header with a
     non-blank cell, cut at the first row of another width, whose error
     ``cut`` is raised only when no kept row is faulty.  ``ordinals`` holds
-    each row's day ordinal, 0 where the date is malformed."""
+    each row's day ordinal, 0 where the date is malformed; ``values`` holds
+    the value columns read through the rule, NaN where a cell is faulty."""
 
-    def __init__(self, source: TextSource, expected: Sequence[str] | None):
+    def __init__(self, source: TextSource, expected: Sequence[str] | None, rule):
         """``expected`` is the exact header, or None for a frame CSV's."""
         reader = csv.reader(io.StringIO(read_text(source), newline=""))
         try:
             self.records = list(reader)
         except csv.Error as exc:  # a field over csv's size limit, say
             raise DataError(f"line {reader.line_num}: {exc}") from None
-        self.header = self.records[0] if self.records else None
+        header = self.records[0] if self.records else None
         if expected is None:
-            if not self.header or self.header[0].strip() != "date" or len(self.header) < 2:
+            if not header or header[0].strip() != "date" or len(header) < 2:
                 raise DataError("frame CSV must start with header 'date,<name1>,...'")
-        elif self.header is None:
+        elif header is None:
             raise DataError("empty file: missing header row")
-        elif (header := [h.strip() for h in self.header]) != list(expected):
+        elif (header := [h.strip() for h in header]) != list(expected):
             raise DataError(f"unexpected header {brief(header)}; expected {list(expected)!r}")
+        self.names = tuple(h.strip() for h in header[1:])
         rows = [row for row in self.records[1:] if any(map(str.strip, row))]
         if not rows:
             raise DataError("empty file: no data rows")
-        width, self.cut = len(self.header), None
+        width, self.cut = len(header), None
         if set(map(len, rows)) != {width}:
             n = next(i for i, row in enumerate(rows) if len(row) != width)
             self.cut = DataError(f"line {self.line(n)}: expected {width} fields, got {len(rows[n])}")
             if n == 0:
                 raise self.cut
             rows = rows[:n]
-        self.days, *self.columns = zip(*rows)
+        days, *columns = zip(*rows)
         try:
             self.ordinals = np.array(list(map(
-                dt.date.toordinal, map(dt.date.fromisoformat, map(str.strip, self.days)))))
+                dt.date.toordinal, map(dt.date.fromisoformat, map(str.strip, days)))))
         except ValueError:
-            self.ordinals = np.array(list(map(_ordinal, self.days)))
+            self.ordinals = np.array(list(map(_ordinal, days)))
+        self.checks = [(self.ordinals == 0, lambda i: (
+            f"malformed date {brief(days[i].strip())} (expected YYYY-MM-DD)"))]
+        values = []
+        for name, column in zip(self.names, columns):
+            table = {cell: rule(name, cell) for cell in set(column)}
+            faults = {cell: value for cell, value in table.items() if isinstance(value, str)}
+            table.update(dict.fromkeys(faults, math.nan))
+            values.append(list(map(table.__getitem__, column)))
+            mask = np.array([cell in faults for cell in column]) if faults else np.zeros(len(column), bool)
+            self.checks.append((mask, lambda i, column=column, faults=faults: faults[column[i]]))
+        self.values = np.array(values, dtype=float).T.copy()
 
     def line(self, i: int) -> int:
         """The line number of data row ``i``."""
@@ -172,23 +185,29 @@ class _Rows:
     def day(self, i: int) -> str:
         return dt.date.fromordinal(int(self.ordinals[i])).isoformat()
 
-    def date_check(self):
-        return self.ordinals == 0, lambda i: (
-            f"malformed date {brief(self.days[i].strip())} (expected YYYY-MM-DD)")
+    def raise_first(self, *row_checks) -> None:
+        """Raise the error of the first faulty row, worded by its first
+        failing check (the date, then ``row_checks``, then the cells from left
+        to right), or else the cut row's error.  A check pairs a boolean mask
+        over the rows with a function that words the error of row ``i``."""
+        checks = [self.checks[0], *row_checks, *self.checks[1:]]
+        firsts = [(int(mask.argmax()), c) for c, (mask, _) in enumerate(checks) if mask.any()]
+        if firsts:
+            i, c = min(firsts)
+            raise DataError(f"line {self.line(i)}: {checks[c][1](i)}")
+        if self.cut is not None:
+            raise self.cut
 
-    def values(self, rule, names):
-        """The value columns through ``rule(name, cell)``, one name per
-        column, as a (rows, columns) array, and one check per column, left to
-        right, worded by the rule's message for the faulty cell."""
-        columns, checks = [], []
-        for name, column in zip(names, self.columns):
-            table = {cell: rule(name, cell) for cell in set(column)}
-            faults = {cell: value for cell, value in table.items() if isinstance(value, str)}
-            table.update(dict.fromkeys(faults, math.nan))
-            columns.append(list(map(table.__getitem__, column)))
-            mask = np.array([cell in faults for cell in column]) if faults else np.zeros(len(column), bool)
-            checks.append((mask, lambda i, column=column, faults=faults: faults[column[i]]))
-        return np.array(columns, dtype=float).T.copy(), checks
+    def on_grid(self, absent: float) -> SeriesFrame:
+        """The rows on the daily grid from the earliest date to the latest:
+        each cell the per-column maximum over its date's rows, ``absent`` on
+        a date with no row."""
+        start = int(self.ordinals.min())
+        # -inf is below every value, so it marks the cells no row reached.
+        grid = np.full((int(self.ordinals.max()) - start + 1, len(self.names)), -np.inf)
+        np.maximum.at(grid, self.ordinals - start, self.values)
+        grid[grid == -np.inf] = absent
+        return SeriesFrame(dt.date.fromordinal(start), self.names, grid)
 
 
 def _ordinal(cell: str) -> int:
@@ -196,18 +215,6 @@ def _ordinal(cell: str) -> int:
         return dt.date.fromisoformat(cell.strip()).toordinal()
     except ValueError:
         return 0
-
-
-def _raise_first(rows: _Rows, checks) -> None:
-    """Raise the error of the first faulty row, worded by its first failing
-    check, or else the cut row's error.  ``checks`` pairs a boolean mask over
-    the rows with a function that words the error of row ``i``."""
-    firsts = [(int(mask.argmax()), c) for c, (mask, _) in enumerate(checks) if mask.any()]
-    if firsts:
-        i, c = min(firsts)
-        raise DataError(f"line {rows.line(i)}: {checks[c][1](i)}")
-    if rows.cut is not None:
-        raise rows.cut
 
 
 def _integer(text: str) -> int | None:
@@ -252,20 +259,14 @@ def ingest_sleep(source: TextSource) -> SeriesFrame:
     be integers inside the valid range; duplicate dates are an error (one
     sleep bout per night).
     """
-    rows = _Rows(source, ("date", "score"))
+    rows = _Rows(source, ("date", "score"), _score)
     ordinals = rows.ordinals
-    scores, score_checks = rows.values(_score, ("score",))
     # A stable sort keeps a date's rows in file order: all but the first repeat it.
     order = np.argsort(ordinals, kind="stable")
     repeated = np.zeros(ordinals.size, dtype=bool)
     repeated[order[1:]] = np.diff(ordinals[order]) == 0
-    _raise_first(rows, [rows.date_check(),
-                        (repeated, lambda i: f"duplicate date {rows.day(i)}"), *score_checks])
-
-    start = int(ordinals.min())
-    col = np.full(int(ordinals.max()) - start + 1, np.nan)
-    col[ordinals - start] = scores[:, 0]
-    return SeriesFrame(dt.date.fromordinal(start), ("score",), col.reshape(-1, 1))
+    rows.raise_first((repeated, lambda i: f"duplicate date {rows.day(i)}"))
+    return rows.on_grid(math.nan)
 
 
 def ingest_mood(source: TextSource, absent_as_zero: bool = True) -> SeriesFrame:
@@ -276,17 +277,9 @@ def ingest_mood(source: TextSource, absent_as_zero: bool = True) -> SeriesFrame:
     covered span with no row at all become 0 ("not present") under the
     default ``absent_as_zero`` policy, or stay missing when it is off.
     """
-    rows = _Rows(source, ("date",) + MOOD_VARIABLES)
-    ordinals = rows.ordinals
-    levels, level_checks = rows.values(_level, MOOD_VARIABLES)
-    _raise_first(rows, [rows.date_check(), *level_checks])
-
-    start = int(ordinals.min())
-    # -1 is below every level, so it marks the days no row reached.
-    vals = np.full((int(ordinals.max()) - start + 1, len(MOOD_VARIABLES)), -1.0)
-    np.maximum.at(vals, ordinals - start, levels)
-    vals[vals[:, 0] < 0] = 0.0 if absent_as_zero else np.nan
-    return SeriesFrame(dt.date.fromordinal(start), MOOD_VARIABLES, vals)
+    rows = _Rows(source, ("date",) + MOOD_VARIABLES, _level)
+    rows.raise_first()
+    return rows.on_grid(0.0 if absent_as_zero else math.nan)
 
 
 def merge(frames: Sequence[SeriesFrame]) -> SeriesFrame:
@@ -401,10 +394,8 @@ def read_frame_csv(source: TextSource) -> SeriesFrame:
     The date column must be a strictly contiguous ascending daily grid;
     value cells are floats, empty meaning missing.
     """
-    rows = _Rows(source, None)
-    names = tuple(h.strip() for h in rows.header[1:])
+    rows = _Rows(source, None, _number)
     first = int(rows.ordinals[0])
-    values, number_checks = rows.values(_number, names)
     off_grid = rows.ordinals != first + np.arange(rows.ordinals.size)
 
     def off_grid_error(i: int) -> str:
@@ -414,5 +405,5 @@ def read_frame_csv(source: TextSource) -> SeriesFrame:
             expected = f"expected {dt.date.fromordinal(first + i)}"
         return f"dates must be contiguous daily; {expected}, got {rows.day(i)}"
 
-    _raise_first(rows, [rows.date_check(), (off_grid, off_grid_error), *number_checks])
-    return SeriesFrame(dt.date.fromordinal(first), names, values)
+    rows.raise_first((off_grid, off_grid_error))
+    return SeriesFrame(dt.date.fromordinal(first), rows.names, rows.values)

@@ -202,24 +202,20 @@ def f_ppf(q: float, df_num: int, df_den: int) -> float:
     if q == 1.0:
         return math.inf
     upper = q > 0.5
-    return _f_quantile(math.log1p(-q) if upper else math.log(q), upper, df_num, df_den,
-                       math.log(min(q, 1.0 - q)))
+    return _f_quantile(math.log1p(-q) if upper else math.log(q), upper, df_num, df_den)
 
 
-def _f_quantile(log_tail: float, upper: bool, df_num: int, df_den: int,
-                guess_at: float) -> float:
+def _f_quantile(log_tail: float, upper: bool, df_num: int, df_den: int) -> float:
     """The x whose survival function (``upper``) or CDF is exp(``log_tail``) < 1.
 
     Halley's method on t = log x for log(tail) = ``log_tail``, started from
-    the approximation at the log tail ``guess_at`` (f_ppf's start takes
-    log(1 - q), which can round apart from its target log1p(-q)).  Each
-    evaluation narrows a bracket on t; a step that would leave it bisects
-    instead.
+    the approximation at that log tail.  Each evaluation narrows a bracket
+    on t; a step that would leave it bisects instead.
     """
     sign = 1.0 if upper else -1.0
     a, b = 0.5 * df_num, 0.5 * df_den
     lo, hi = -_LOG_F_BOUND, _LOG_F_BOUND
-    t = min(max(_log_f_guess(guess_at, upper, df_num, df_den), lo), hi)
+    t = min(max(_log_f_guess(log_tail, upper, df_num, df_den), lo), hi)
     for _ in range(_PPF_MAXIT):
         x = math.exp(t)
         cdf, sf, front = _f_tails(x, df_num, df_den)
@@ -317,7 +313,7 @@ def granger_test(
     statistic = wald / df_num
     p_value = f_sf(statistic, df_num, df_den)
     log_alpha = math.log(alpha)  # 1 - alpha would round away a small alpha
-    critical_value = _f_quantile(log_alpha, True, df_num, df_den, log_alpha)
+    critical_value = _f_quantile(log_alpha, True, df_num, df_den)
     return GrangerResult(
         causing=causing_t,
         caused=caused_t,

@@ -269,9 +269,10 @@ def _criteria(sigma_ml: np.ndarray, t_star: int, names, p: int) -> tuple[float, 
     try:
         ld = log_det_pd(sigma_ml)
     except NotPositiveDefiniteError as exc:
+        cause = ("has no variance, or its square underflowed" if exc.pivot == 0 else
+                 "is collinear with earlier ones, or the log-determinant underflowed to -inf")
         raise NumericError(f"residual covariance at lag {p} is not positive definite: the residual "
-                           f"of {brief(names[exc.pivot])} is collinear with earlier ones, or the "
-                           "log-determinant underflowed to -inf") from None
+                           f"of {brief(names[exc.pivot])} {cause}") from None
     k = len(names)
     m = p * k * k + k
     regressors = k * p + 1

@@ -171,6 +171,11 @@ def test_probe_raises_data_error(name):
         PROBES[name]()
 
 
+def test_one_dimensional_frame_values_name_their_shape():
+    with pytest.raises(DataError, match=r"frame values must be 2-D, got shape \(2,\)"):
+        sv.SeriesFrame(FRAME.start_date, ("x",), [1.0, 2.0])
+
+
 @pytest.mark.parametrize("seed", [0, 3, -1, 2**63 - 1])
 def test_numpy_integer_seed_draws_like_int(seed):
     for stream in (0, 1, 7):

@@ -303,6 +303,9 @@ class TestGrangerAllPairs:
         assert len(results) == 1 and results[0].caused == ("y",)
 
     def test_unknown_name(self):
-        fit = sv.fit_var(sv.simulate_var(PLANTED, 300, seed=0), 1)
+        frame = sv.simulate_var(PLANTED, 300, seed=0)
         with pytest.raises(DataError, match="unknown variable"):
-            sv.granger_all_pairs(fit, "nope")
+            sv.granger_all_pairs(sv.fit_var(frame, 1), "nope")
+        alone = sv.SeriesFrame(frame.start_date, ("x",), frame.values[:, :1])
+        with pytest.raises(DataError, match="all-pairs testing needs at least two variables"):
+            sv.granger_all_pairs(sv.fit_var(alone, 1), "x")

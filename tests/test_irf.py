@@ -203,6 +203,10 @@ class TestIrfWithBands:
             sv.irf_with_bands(fit, level=1.2, replications=150)
         with pytest.raises(DataError, match="innovation mode"):
             sv.irf_with_bands(fit, replications=150, innovations="bayes")
+        fit0 = sv.fit_var(sv.simulate_var(VAR2_SPEC, 400, seed=6), 0)
+        with pytest.raises(DataError, match="impulse-response bands require a fitted lag order "
+                                            "of at least 1"):
+            sv.irf_with_bands(fit0, replications=150)
 
     def test_refits_need_one_degree_of_freedom_only(self):
         # K=2, p=1, T=6: each refit has 4 rows for 3 regressors and 2 targets

@@ -202,6 +202,8 @@ class TestAdf:
             sv.adf_test(np.arange(10.0))
         with pytest.raises(DataError, match="missing"):
             sv.adf_test(np.r_[np.arange(20.0), np.nan])
+        with pytest.raises(DataError, match="series contains non-finite values"):
+            sv.adf_test(np.r_[np.arange(20.0), np.inf])
         with pytest.raises(DataError, match="constant"):
             sv.adf_test(np.full(50, 3.0))
         with pytest.raises(DataError, match="regression"):

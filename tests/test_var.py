@@ -332,6 +332,15 @@ class TestSelectOrder:
                                                r"earlier ones, or the log-determinant underflow"):
             sv.select_order(with_dup(dataset_frame), 0)
 
+    def test_underflowed_first_residual_is_not_called_collinear(self, dataset_frame):
+        # times 1e-170 the residual cross-product underflows to 0; 'score'
+        # comes first, so nothing precedes it to be collinear with
+        tiny = sv.SeriesFrame(dataset_frame.start_date, dataset_frame.names,
+                              dataset_frame.values * 1e-170)
+        with pytest.raises(NumericError, match=r"the residual of 'score' .*underflow") as err:
+            sv.select_order(tiny, 15)
+        assert "collinear with earlier ones" not in str(err.value)
+
     def test_fpe_overflow_is_data_error(self, dataset_frame):
         # log det of the residual covariance passes 709, past math.exp's range
         big = sv.SeriesFrame(dataset_frame.start_date, dataset_frame.names,
@@ -455,6 +464,9 @@ class TestPersistence:
         doc["version"] = 3
         with pytest.raises(ModelFormatError, match="version"):
             sv.load_model(io.StringIO(json.dumps(doc)))
+        with pytest.raises(ModelFormatError,
+                           match="corrupted model document: top level must be an object"):
+            sv.load_model(io.StringIO("[]"))
 
     def test_shape_corruption(self):
         fit = sv.fit_var(sv.simulate_var(VAR2_SPEC, 120, seed=8), 1)
