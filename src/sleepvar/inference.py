@@ -6,11 +6,16 @@ caused variable's equation.  The Wald statistic divided by the number of
 restrictions is referred to the F distribution with denominator degrees of
 freedom K * (t_eff - K*p - 1), matching the fitted system's residual
 degrees of freedom across all K equations.
+
+The F distribution is computed here in stdlib ``math`` (the runtime imports
+no scipy), and only its upper tail: ``f_sf`` gives the p-value and
+``f_isf`` the critical value.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from reprlib import repr as brief
 from typing import Sequence
@@ -29,9 +34,9 @@ _CF_MAXIT = 100_000
 _CF_TINY = 1e-30
 # Stopping rule of the quantile search: the last Halley step in log F, after
 # which the error is of the order of its cube.
-_PPF_TOL = 1e-7
-_PPF_MAXIT = 200
-_LOG_F_BOUND = 700.0  # exp(+-700) stays finite
+_ISF_TOL = 1e-7
+_ISF_MAXIT = 200
+_LOG_F_BOUND = math.log(sys.float_info.max)  # exp(+-bound) stays finite
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -118,37 +123,36 @@ def _beta_cf(a: float, b: float, u: float, w: float) -> float:
     )
 
 
-def _f_tails(x: float, df_num: float, df_den: float) -> tuple[float, float, float]:
-    """(CDF, survival function, x times the density) of F(df_num, df_den) at x.
+def _f_tails(x: float, df_num: float, df_den: float) -> tuple[float, float]:
+    """(survival function, x times the density) of F(df_num, df_den) at x.
 
     With s = df_num x + df_den, the CDF is the regularized incomplete beta
     I_u(a, b) at u = df_num x / s, a = df_num / 2, b = df_den / 2, and
     x times the density is u^a (1 - u)^b / B(a, b).  1 - u is formed as
     df_den / s, and the log of whichever of u, 1 - u lies near 1 by
-    log1p.  The continued fraction gives the tail it converges on directly
-    and only the other tail is a complement.  At the switch, where
-    u = (a + 1) / (a + b + 2), either tail is above about 0.08 (the
-    chi-square(1) tail beyond 3), so a small tail is never a complement.
+    log1p.  The continued fraction gives the tail it converges on directly.
+    Below the switch, u = (a + 1) / (a + b + 2), the survival function is
+    its complement, but there it is above about 0.08 (the chi-square(1)
+    tail beyond 3), so a small one is never a complement.
     """
     if not x > 0.0:
-        return (math.nan,) * 3 if math.isnan(x) else (0.0, 1.0, 0.0)
+        return (math.nan, math.nan) if math.isnan(x) else (1.0, 0.0)
     a, b = 0.5 * df_num, 0.5 * df_den
     s = df_num * x + df_den
-    u, v = df_num * x / s, df_den / s
+    # where df_num * x overflows, 1 - u is far below the rounding of 1
+    u, v = (df_num * x / s, df_den / s) if s < math.inf else (1.0, df_den / df_num / x)
     if v == 0.0:
-        return 1.0, 0.0, 0.0
+        return 0.0, 0.0
     if u == 0.0:
-        return 0.0, 1.0, 0.0
+        return 1.0, 0.0
     if u < 0.5:
         log_u, log_v = math.log(u), math.log1p(-u)
     else:
         log_u, log_v = math.log1p(-v), math.log(v)
     front = math.exp(a * log_u + b * log_v - _log_beta(a, b))
     if u < (a + 1.0) / (a + b + 2.0):
-        cdf = front * _beta_cf(a, b, u, v) / a
-        return cdf, 1.0 - cdf, front
-    sf = front * _beta_cf(b, a, v, u) / b
-    return 1.0 - sf, sf, front
+        return 1.0 - front * _beta_cf(a, b, u, v) / a, front
+    return front * _beta_cf(b, a, v, u) / b, front
 
 
 def _check_df(df_num, df_den) -> None:
@@ -156,29 +160,23 @@ def _check_df(df_num, df_den) -> None:
         raise DataError(f"F degrees of freedom must be positive, got ({df_num}, {df_den})")
 
 
-def f_cdf(x: float, df_num: int, df_den: int) -> float:
+def f_sf(x: float, df_num: int, df_den: int) -> float:
+    """Survival function 1 - CDF, computed without cancellation."""
     _check_df(df_num, df_den)
     return _f_tails(x, df_num, df_den)[0]
 
 
-def f_sf(x: float, df_num: int, df_den: int) -> float:
-    """Survival function 1 - CDF, computed without cancellation."""
-    _check_df(df_num, df_den)
-    return _f_tails(x, df_num, df_den)[1]
-
-
-def _log_f_guess(log_tail: float, upper: bool, df_num: float, df_den: float) -> float:
+def _log_f_guess(log_alpha: float, df_num: float, df_den: float) -> float:
     """Log of Paulson's cube-root normal approximation to the F quantile, or 0.
 
     It only starts the quantile search, so the normal quantile comes from
     Abramowitz & Stegun 26.2.23 (error below 4.5e-4), and 0 (x = 1) stands
     in where the approximation has no positive root.
     """
-    r = math.sqrt(-2.0 * log_tail)
+    r = math.sqrt(-2.0 * log_alpha)
     z = r - (2.515517 + r * (0.802853 + r * 0.010328)) / (
         1.0 + r * (1.432788 + r * (0.189269 + r * 0.001308))
     )
-    z = z if upper else -z
     c1, c2 = 2.0 / (9.0 * df_num), 2.0 / (9.0 * df_den)
     lead = (1.0 - c2) ** 2 - z * z * c2
     disc = (1.0 - c1) ** 2 * c2 + (1.0 - c2) ** 2 * c1 - z * z * c1 * c2
@@ -188,64 +186,47 @@ def _log_f_guess(log_tail: float, upper: bool, df_num: float, df_den: float) -> 
     return 3.0 * math.log(cube_root) if cube_root > 0.0 else 0.0
 
 
-def f_ppf(q: float, df_num: int, df_den: int) -> float:
-    """Quantile: the x with ``f_cdf(x) == q``.
+def f_isf(alpha: float, df_num: int, df_den: int) -> float:
+    """The x with ``f_sf(x) == alpha``: the critical value of an F test at level ``alpha``.
 
-    The search runs on the survival function for q > 1/2 and on the CDF
-    otherwise, so quantiles far out in either tail keep their relative
-    accuracy.
+    Halley's method on t = log x for log f_sf(x) = log(alpha) (1 - alpha
+    would round a small alpha away), started from Paulson's approximation.
+    Each evaluation narrows a bracket on t up to the float maximum; a step
+    that would leave it bisects instead.
     """
     _check_df(df_num, df_den)
-    q = checked_real(q, "probability", closed=True)
-    if q == 0.0:
-        return 0.0
-    if q == 1.0:
-        return math.inf
-    upper = q > 0.5
-    return _f_quantile(math.log1p(-q) if upper else math.log(q), upper, df_num, df_den)
-
-
-def _f_quantile(log_tail: float, upper: bool, df_num: int, df_den: int) -> float:
-    """The x whose survival function (``upper``) or CDF is exp(``log_tail``) < 1.
-
-    Halley's method on t = log x for log(tail) = ``log_tail``, started from
-    the approximation at that log tail.  Each evaluation narrows a bracket
-    on t; a step that would leave it bisects instead.
-    """
-    sign = 1.0 if upper else -1.0
+    log_alpha = math.log(checked_real(alpha, "probability"))
     a, b = 0.5 * df_num, 0.5 * df_den
     lo, hi = -_LOG_F_BOUND, _LOG_F_BOUND
-    t = min(max(_log_f_guess(log_tail, upper, df_num, df_den), lo), hi)
-    for _ in range(_PPF_MAXIT):
+    t = min(max(_log_f_guess(log_alpha, df_num, df_den), lo), hi)
+    for _ in range(_ISF_MAXIT):
         x = math.exp(t)
-        cdf, sf, front = _f_tails(x, df_num, df_den)
-        tail = sf if upper else cdf
-        # g = sign * (log(target) - log(tail)) rises with t, and
-        # g' = front / tail, g'' / g' = d log(front) / dt + sign * front / tail.
-        g = sign * (log_tail - math.log(tail)) if tail > 0.0 else sign * math.inf
+        sf, front = _f_tails(x, df_num, df_den)
+        # g = log(alpha) - log(sf) rises with t, and
+        # g' = front / sf, g'' / g' = d log(front) / dt + front / sf.
+        g = log_alpha - math.log(sf) if sf > 0.0 else math.inf
         if g > 0.0:
             hi = t
         elif g < 0.0:
             lo = t
         else:
             return x
-        step = math.nan
-        if front > 0.0:
-            step = -g * tail / front
-            u = df_num * x / (df_num * x + df_den)
-            halley = 0.5 * step * (a - (a + b) * u + sign * front / tail)
+        step = math.nan  # an underflowed tail or density bisects
+        if front > 0.0 and sf > 0.0:
+            step = -g * sf / front
+            u = df_num * x / (df_num * x + df_den)  # NaN if df_num * x overflows: no Halley
+            halley = 0.5 * step * (a - (a + b) * u + front / sf)
             if abs(halley) < 0.5:
                 step /= 1.0 + halley
-        if abs(step) <= _PPF_TOL:
-            return math.exp(t + step)
+        if abs(step) <= _ISF_TOL:
+            return math.exp(min(t + step, _LOG_F_BOUND))  # exp raises one ulp past it
         t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
-    side = "upper" if upper else "lower"
     if lo == -_LOG_F_BOUND or hi == _LOG_F_BOUND:  # g kept one sign: the root is past the bracket
-        where = "above e^700" if hi == _LOG_F_BOUND else "below e^-700"
-        raise DataError(f"F quantile of the {side} tail exp({log_tail:.6g}) with "
-                        f"df=({df_num}, {df_den}) is outside the float range the search covers "
-                        f"(e^-700 to e^700): it lies {where}")
-    raise ConvergenceError(f"F quantile search did not converge ({side} tail exp({log_tail}), "
+        where = "above e^" if hi == _LOG_F_BOUND else "below e^-"
+        raise DataError(f"F quantile of the upper tail {alpha:.6g} with df=({df_num}, {df_den}) is "
+                        f"outside the float range the search covers (e^-{_LOG_F_BOUND:.6g} to "
+                        f"e^{_LOG_F_BOUND:.6g}): it lies {where}{_LOG_F_BOUND:.6g}")
+    raise ConvergenceError(f"F quantile search did not converge (upper tail {alpha!r}, "
                            f"df=({df_num}, {df_den}))")
 
 
@@ -312,8 +293,7 @@ def granger_test(
     df_den = k * (fit.t_eff - k * fit.p - 1)  # >= K: every VarFit keeps a residual dof
     statistic = wald / df_num
     p_value = f_sf(statistic, df_num, df_den)
-    log_alpha = math.log(alpha)  # 1 - alpha would round away a small alpha
-    critical_value = _f_quantile(log_alpha, True, df_num, df_den)
+    critical_value = f_isf(alpha, df_num, df_den)
     return GrangerResult(
         causing=causing_t,
         caused=caused_t,

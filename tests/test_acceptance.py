@@ -17,7 +17,7 @@ import pytest
 
 import sleepvar as sv
 from sleepvar import report
-from sleepvar.inference import f_ppf
+from sleepvar.inference import f_isf
 from sleepvar.linalg import cholesky_lower
 from sleepvar.simulate import DEFAULT_BURN_IN, SIM_EPOCH, iterate_paths, substream
 
@@ -116,7 +116,7 @@ def test_04_granger_power_and_calibration():
 
 
 def test_05_f_distribution():
-    value = f_ppf(0.95, 2, 10**6)
+    value = f_isf(0.05, 2, 10**6)
     check(
         "F inverse CDF",
         abs(value - 2.996) < 0.01,

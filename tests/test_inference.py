@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sleepvar as sv
 from sleepvar.errors import DataError, NumericError
-from sleepvar.inference import f_cdf, f_ppf, f_sf
+from sleepvar.inference import f_isf, f_sf
 
 from conftest import VAR2_SPEC
 
@@ -24,41 +26,49 @@ PLANTED = sv.VarProcessSpec(
 class TestFDistribution:
     def test_large_df_critical_value(self):
         # matches the classical chi2_2/2 limit of 2.996
-        assert abs(f_ppf(0.95, 2, 10**6) - 2.996) < 0.01
+        assert abs(f_isf(0.05, 2, 10**6) - 2.996) < 0.01
 
-    def test_cdf_ppf_consistency(self):
-        for alpha in (0.01, 0.05, 0.10):
-            for dfn, dfd in ((1, 30), (2, 6535), (4, 100), (10, 2000)):
-                q = f_ppf(1.0 - alpha, dfn, dfd)
-                assert abs(f_cdf(q, dfn, dfd) - (1.0 - alpha)) < 1e-8
-
-    def test_sf_complements_cdf(self):
-        assert f_sf(2.5, 3, 50) == pytest.approx(1.0 - f_cdf(2.5, 3, 50), abs=1e-12)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(1e-300, 0.999),
+        df_num=st.integers(1, 200),
+        df_den=st.integers(2, 10**6),
+    )
+    # a trial point past the root has an underflowed tail but a positive
+    # density here, which the Halley step must not divide by
+    @example(alpha=1.1259697061818183e-287, df_num=33, df_den=583)
+    def test_isf_inverts_sf(self, alpha, df_num, df_den):
+        assert f_sf(f_isf(alpha, df_num, df_den), df_num, df_den) == pytest.approx(alpha, rel=1e-8)
 
     def test_edge_values(self):
-        assert f_cdf(0.0, 2, 30) == 0.0
         assert f_sf(0.0, 2, 30) == 1.0
         assert f_sf(math.inf, 2, 30) == 0.0
-        assert f_cdf(math.inf, 2, 30) == 1.0
-        assert f_ppf(0.0, 2, 30) == 0.0
-        assert f_ppf(1.0, 2, 30) == math.inf
 
     def test_invalid_arguments_are_data_errors(self):
         with pytest.raises(DataError, match="degrees of freedom"):
             f_sf(1.0, 0, 30)
         with pytest.raises(DataError, match="probability"):
-            f_ppf(1.5, 2, 30)
+            f_isf(1.5, 2, 30)
 
     def test_quantile_past_the_float_range_is_data_error(self):
-        # F(1, 1) has CDF ~ (2/pi) sqrt(x) near 0, so q = 1e-300 sits at x ~ 1e-600
-        with pytest.raises(DataError, match="lower tail .* outside the float range .* below"):
-            f_ppf(1e-300, 1, 1)
-        # F(1, 2)'s survival function ~ 1/x: alpha = 1e-310 sits at x ~ 1e310
+        # F(1, 2)'s survival function is 1 - sqrt(x / (x + 2)), so the critical
+        # value at alpha is 2 (1 - alpha)^2 / (alpha (2 - alpha)), about 2 / alpha
         fit = sv.fit_var(sv.simulate_var(PLANTED, 5, seed=3), 1)
-        res = sv.granger_test(fit, "x", "y", alpha=1e-300)
-        assert (res.df_num, res.df_den) == (1, 2) and 0.9e300 < res.critical_value < 1.1e300
+        for alpha in (1e-300, 1e-305):
+            res = sv.granger_test(fit, "x", "y", alpha=alpha)
+            assert (res.df_num, res.df_den) == (1, 2)
+            assert res.critical_value == pytest.approx(
+                2.0 * (1.0 - alpha) ** 2 / (alpha * (2.0 - alpha)), rel=1e-12
+            )
+        # alpha = 1e-310 sits at x ~ 2e310, past the float maximum
         with pytest.raises(DataError, match="upper tail .* outside the float range .* above"):
             sv.granger_test(fit, "x", "y", alpha=1e-310)
+
+    def test_tails_where_df_num_times_x_overflows(self):
+        # F(2, 2)'s survival function is 1 / (1 + x), and 2 x overflows above 9e307
+        assert f_sf(1e308, 2, 2) == pytest.approx(1e-308, rel=1e-12)
+        for alpha in (1e-308, 6e-309):
+            assert f_isf(alpha, 2, 2) == pytest.approx(1.0 / alpha - 1.0, rel=1e-12)
 
 
 # The scipy oracle grid: numerator df up to a 150-restriction joint test,
@@ -80,19 +90,18 @@ class TestFDistributionOracle:
     def test_cdf_and_sf(self, f_ref, df_num):
         for df_den in ORACLE_DF_DEN:
             for x in ORACLE_STATISTICS:
-                for mine, ref in ((f_cdf, f_ref.cdf), (f_sf, f_ref.sf)):
-                    expected = float(ref(x, df_num, df_den))
-                    if expected > 1e-300:
-                        assert mine(x, df_num, df_den) == pytest.approx(expected, rel=1e-10), (
-                            mine.__name__, x, df_num, df_den
-                        )
+                expected = float(f_ref.sf(x, df_num, df_den))
+                if expected > 1e-300:
+                    assert f_sf(x, df_num, df_den) == pytest.approx(expected, rel=1e-10), (
+                        x, df_num, df_den
+                    )
 
     @pytest.mark.parametrize("df_num", ORACLE_DF_NUM)
     def test_ppf(self, f_ref, df_num):
         for df_den in ORACLE_DF_DEN:
             for q in ORACLE_LEVELS:
                 expected = float(f_ref.ppf(q, df_num, df_den))
-                assert f_ppf(q, df_num, df_den) == pytest.approx(expected, rel=1e-10), (
+                assert f_isf(1.0 - q, df_num, df_den) == pytest.approx(expected, rel=1e-10), (
                     q, df_num, df_den
                 )
 
@@ -108,9 +117,7 @@ class TestFDistributionOracle:
         for x in np.geomspace(0.5, 8.0, 20):
             xm = mp.mpf(float(x))
             u = df_num * xm / (df_num * xm + df_den)
-            cdf = mp.betainc(mp.mpf(df_num) / 2, mp.mpf(df_den) / 2, 0, u, regularized=True)
             sf = mp.betainc(mp.mpf(df_den) / 2, mp.mpf(df_num) / 2, 0, 1 - u, regularized=True)
-            assert f_cdf(x, df_num, df_den) == pytest.approx(float(cdf), rel=1e-13), x
             assert f_sf(x, df_num, df_den) == pytest.approx(float(sf), rel=1e-13), x
 
     def test_dataset_granger_tails(self, f_ref, dataset_fit):

@@ -10,7 +10,7 @@ import pytest
 import sleepvar as sv
 import sleepvar.irf as irf_mod
 from sleepvar.errors import DataError, NumericError
-from sleepvar.linalg import cholesky_lower, solve_least_squares
+from sleepvar.linalg import cholesky_lower
 from sleepvar.simulate import DEFAULT_BURN_IN, iterate_paths, substream
 
 from conftest import VAR2_SPEC
@@ -65,7 +65,7 @@ def shock_propagation_oracle(fit: sv.VarFit, horizon: int) -> np.ndarray:
 
 def looped_bands(fit: sv.VarFit, horizon: int, level: float, replications: int, seed: int,
                  skip=()):
-    """Reference bootstrap: one QR least-squares refit per replication,
+    """Reference bootstrap: one numpy least-squares refit per replication,
     leaving out the replications in ``skip``."""
     k, p, t_eff = fit.n_vars, fit.p, fit.t_eff
     chol = cholesky_lower(fit.sigma_u)
@@ -79,7 +79,8 @@ def looped_bands(fit: sv.VarFit, horizon: int, level: float, replications: int, 
             continue
         design = np.column_stack([np.ones(t_eff - p)]
                                  + [path[p - lag : t_eff - lag] for lag in range(1, p + 1)])
-        coef, resid, _ = solve_least_squares(design, path[p:])
+        coef = np.linalg.lstsq(design, path[p:], rcond=None)[0]
+        resid = path[p:] - design @ coef
         refit = dataclasses.replace(fit, coef=coef[1:].reshape(p, k, k).transpose(0, 2, 1))
         dof = t_eff - p - design.shape[1]
         draws.append(sv.ma_coefficients(refit, horizon) @ cholesky_lower(resid.T @ resid / dof))
