@@ -297,11 +297,6 @@ def cholesky_lower(m) -> np.ndarray:
         raise  # unreachable: the whole matrix fails only where a leading block does
 
 
-def log_det_pd(m) -> float:
-    """log determinant of a symmetric positive definite matrix."""
-    return float(2.0 * np.sum(np.log(np.diag(cholesky_lower(m)))))
-
-
 def spectral_radius(m) -> float:
     """Largest eigenvalue modulus of a square matrix (0.0 for an empty one)."""
     a = as_matrix(m)

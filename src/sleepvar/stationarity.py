@@ -14,6 +14,9 @@ Conventions worth spelling out once:
   factor, and the final t-ratio is read from the other.  Both matrices
   come from :mod:`sleepvar.var`'s lagged-design builder: the K = 1 design
   of dy, with the trend and level columns after the constant.
+* Neither the order nor the statistic depends on the units: each order's
+  SSR is squared at the target's own binary scale, and the t-ratio is a
+  ratio of R entries.  :func:`pacf` puts its centered series at that scale.
 * A degenerate regression, where the level y_{t-1} lies in the span of the
   other regressors or dy is fitted exactly (a deterministic ramp), carries
   no evidence either way and reports a statistic of 0, in any units.
@@ -117,14 +120,16 @@ def adf_test(series, regression: str = "constant", max_lag: int | None = None) -
     # all pass the rank rule compete: the Householder reflector of a
     # collinear column is built on rounding residue and removes a random
     # direction from the target.  The SSR floor, relative to the target's norm
-    # (read from R's last column), makes exact fits tie, not rank rounding noise.
+    # (R's last column, read at unit binary scale, where its norm is at least
+    # 1/2 unless it is all zero), makes exact fits tie, not rank rounding noise.
     augmented = _adf_augmented(y, max_lag, ntrend)
     n, m_full = augmented.shape[0], augmented.shape[1] - 1
     base = ntrend + 1
     r = augmented_r(augmented, m_full, overwrite_a=True)
-    floor = max((RANK_RTOL * np.linalg.norm(r[:, -1])) ** 2, np.finfo(float).tiny)
+    target = np.ldexp(r[:, -1], -np.frexp(np.abs(r[:, -1]).max())[1])
+    floor = (RANK_RTOL * max(np.linalg.norm(target), 0.5)) ** 2
     orders = 1 + int(np.cumprod(~deficient_columns(r)[base:m_full]).sum())
-    ssr = np.cumsum(r[::-1, -1] ** 2)[::-1][base : base + orders]
+    ssr = np.cumsum(target[::-1] ** 2)[::-1][base : base + orders]
     aic = n * np.log(np.maximum(ssr, floor) / n) + 2.0 * (base + np.arange(orders))
     used_lag = int(np.argmin(aic))
 
@@ -203,14 +208,12 @@ def _autocovariances(y: np.ndarray, n_lags: int) -> np.ndarray:
     """Adjusted (unbiased-denominator) sample autocovariances at lags 0..n_lags,
     up to a common power-of-two factor.
 
-    A series whose centered values are all below 1/2 is scaled up by a power
-    of two first.  That is exact, so the ratios keep their bits, and the
-    products of a small-scale series do not underflow.
+    The centered series is put at unit binary scale first.  That is exact,
+    so the ratios keep their bits, and its products neither underflow nor
+    overflow in any units.
     """
     centered = y - y.mean()
-    peak = np.abs(centered).max()
-    if peak < 0.5:
-        centered = np.ldexp(centered, -np.frexp(peak)[1])
+    centered = np.ldexp(centered, -np.frexp(np.abs(centered).max())[1])
     n = y.size
     acov = np.empty(n_lags + 1)
     for k in range(n_lags + 1):

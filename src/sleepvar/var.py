@@ -26,7 +26,7 @@ from ._util import (
 from .errors import DataError, NotPositiveDefiniteError, NumericError, SingularDesignError
 from .frame import SeriesFrame
 from .linalg import (
-    augmented_r, deficient_columns, is_symmetric, log_det_pd, solve_augmented, stability_radius,
+    augmented_r, cholesky_lower, deficient_columns, is_symmetric, solve_augmented, stability_radius,
 )
 
 CRITERIA = ("aic", "bic", "fpe", "hqic")
@@ -264,32 +264,6 @@ def fit_var(frame: SeriesFrame, p: int) -> VarFit:
                   residuals=resid, normal_matrix_inverse=solved.normal_matrix_inverse())
 
 
-def _criteria(sigma_ml: np.ndarray, t_star: int, names, p: int) -> tuple[float, ...]:
-    """The criteria at lag ``p`` in :data:`CRITERIA` order, for variables ``names``."""
-    try:
-        ld = log_det_pd(sigma_ml)
-    except NotPositiveDefiniteError as exc:
-        cause = ("has no variance, or its square underflowed" if exc.pivot == 0 else
-                 "is collinear with earlier ones, or the log-determinant underflowed to -inf")
-        raise NumericError(f"residual covariance at lag {p} is not positive definite: the residual "
-                           f"of {brief(names[exc.pivot])} {cause}") from None
-    k = len(names)
-    m = p * k * k + k
-    regressors = k * p + 1
-    try:
-        det = math.exp(ld)
-    except OverflowError:
-        raise DataError(f"frame values are too large: the final prediction error overflows "
-                        f"at lag {p}") from None
-    fpe = ((t_star + regressors) / (t_star - regressors)) ** k * det
-    return (
-        ld + 2.0 * m / t_star,
-        ld + m * math.log(t_star) / t_star,
-        fpe,
-        ld + 2.0 * m * math.log(math.log(t_star)) / t_star,
-    )
-
-
 @overflow_checked("frame values are too large: the order search overflows")
 def select_order(frame: SeriesFrame, max_lags: int, override: int | None = None) -> OrderSelection:
     """Tabulate the four criteria for lags 0..max_lags on a common sample.
@@ -318,13 +292,30 @@ def select_order(frame: SeriesFrame, max_lags: int, override: int | None = None)
     r = augmented_r(_lagged_design(values, max_lags), m, overwrite_a=True)
     deficient = deficient_columns(r)
     table = np.empty((max_lags + 1, len(CRITERIA)))
+    log_fpe = np.empty(max_lags + 1)  # FPE's argmin: exp(ld) underflows far below unit scale
     for p in range(max_lags + 1):
         width = 1 + k * p
         _require_full_rank(deficient[:width], frame.names)
         tail = r[width:, m:]
-        table[p] = _criteria(tail.T @ tail / t_star, t_star, frame.names, p)
+        try:
+            ld = float(2.0 * np.sum(np.log(np.diag(cholesky_lower(tail.T @ tail / t_star)))))
+        except NotPositiveDefiniteError as exc:
+            cause = ("has no variance, or its square underflowed" if exc.pivot == 0 else
+                     "is collinear with earlier ones, or the log-determinant underflowed to -inf")
+            raise NumericError(f"residual covariance at lag {p} is not positive definite: the "
+                               f"residual of {brief(frame.names[exc.pivot])} {cause}") from None
+        ratio, n_coef = (t_star + width) / (t_star - width), k * width
+        try:
+            fpe = ratio**k * math.exp(ld)
+        except OverflowError:
+            raise DataError(f"frame values are too large: the final prediction error overflows "
+                            f"at lag {p}") from None
+        table[p] = (ld + 2.0 * n_coef / t_star, ld + n_coef * math.log(t_star) / t_star, fpe,
+                    ld + 2.0 * n_coef * math.log(math.log(t_star)) / t_star)
+        log_fpe[p] = k * math.log(ratio) + ld
 
-    minima = {c: int(np.argmin(table[:, i])) for i, c in enumerate(CRITERIA)}
+    minima = {c: int(np.argmin(log_fpe if c == "fpe" else table[:, i]))
+              for i, c in enumerate(CRITERIA)}
     if override is not None:
         selected, rule = override, f"override({override})"
     else:

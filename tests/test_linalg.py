@@ -20,7 +20,6 @@ from sleepvar.linalg import (
     augmented_r,
     cholesky_lower,
     companion_matrix,
-    log_det_pd,
     one_blas_thread,
     solve_augmented,
     solve_least_squares,
@@ -57,18 +56,6 @@ def normal_equations_oracle(design, target):
     xtx = [[sum(r[i] * r[j] for r in rows) for j in range(m)] for i in range(m)]
     xty = [sum(r[i] * t for r, t in zip(rows, y)) for i in range(m)]
     return gauss_solve(xtx, xty)
-
-
-def det_by_cofactors(a):
-    """Recursive cofactor expansion (pure Python)."""
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    total = 0.0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in a[1:]]
-        total += (-1) ** j * a[0][j] * det_by_cofactors(minor)
-    return total
 
 
 class TestSolveLeastSquares:
@@ -446,25 +433,6 @@ class TestCholesky:
         again = cholesky_lower(low @ low.T)
         assert np.abs(again - low).max() < 1e-10
         assert again.tobytes() == np.linalg.cholesky(low @ low.T).tobytes()
-
-
-class TestLogDet:
-    def test_identity_is_zero(self):
-        assert log_det_pd(np.eye(5)) == 0.0
-
-    def test_diagonal(self):
-        assert log_det_pd(np.diag([2.0, 3.0])) == pytest.approx(np.log(6.0), abs=1e-14)
-
-    def test_against_cofactor_oracle(self):
-        gen = substream(11, 0)
-        b = gen.standard_normal((4, 4))
-        pd = b @ b.T + 4.0 * np.eye(4)
-        oracle = np.log(det_by_cofactors(pd.tolist()))
-        assert abs(log_det_pd(pd) - oracle) < 1e-9
-
-    def test_propagates_not_pd(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            log_det_pd(np.array([[0.0, 0.0], [0.0, 1.0]]))
 
 
 class TestSpectralRadius:

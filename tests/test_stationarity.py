@@ -163,6 +163,24 @@ class TestAdf:
         assert (got.statistic, got.used_lag) == (want.statistic, want.used_lag)
 
     @pytest.mark.parametrize("regression", ["constant", "constant_and_trend"])
+    def test_lag_and_statistic_keep_their_bits_far_from_unit_scale(self, dataset_frame,
+                                                                   regression):
+        # each order's SSR is read at the target's own binary scale, so it
+        # neither underflows below the floor nor overflows
+        score = dataset_frame.values[:, dataset_frame.index_of("score")]
+        want = sv.adf_test(score, regression)
+        for power in (-1000, -600, -520, 520, 600, 1000):
+            got = sv.adf_test(np.ldexp(score, power), regression)
+            assert (got.used_lag, got.statistic) == (want.used_lag, want.statistic), power
+
+    @pytest.mark.parametrize("regression", ["constant", "constant_and_trend"])
+    def test_all_zero_target_ties_every_order(self, regression):
+        # y is still after its first step, so every dy the search regresses is
+        # 0: each order's SSR is 0, the floor holds them level, and lag 0 wins
+        res = sv.adf_test(np.r_[1.0, np.zeros(39)], regression)
+        assert (res.used_lag, res.statistic) == (0, 0.0)
+
+    @pytest.mark.parametrize("regression", ["constant", "constant_and_trend"])
     def test_matches_plain_ols_oracle(self, regression):
         series = [sv.random_walk(400, seed=s) + 10.0 for s in range(4)]
         series += [ar1_sample(0.5, 300, seed=40 + s, mean=3.0) for s in range(4)]
@@ -387,6 +405,14 @@ class TestPacf:
         # at 2**-600 the lag products underflow, and 0/0 would be NaN
         x = ar1_sample(0.5, 300, seed=9)
         assert np.array_equal(sv.pacf(x * 2.0**-600, 10).values, sv.pacf(x, 10).values)
+
+    def test_far_scales_keep_their_bits(self):
+        # the centered series is put at unit binary scale, so neither its
+        # products nor its autocovariances leave the float range
+        x = ar1_sample(0.5, 300, seed=9)
+        for power in (-1000, 600, 1000):
+            assert np.array_equal(sv.pacf(np.ldexp(x, power), 10).values,
+                                  sv.pacf(x, 10).values), power
 
     def test_errors(self):
         with pytest.raises(DataError, match="n_lags"):

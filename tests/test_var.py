@@ -19,7 +19,7 @@ from sleepvar.errors import (
 )
 from sleepvar._util import packed
 from sleepvar.simulate import substream
-from sleepvar.var import _criteria, _lagged_design, _require_full_rank, stack_params
+from sleepvar.var import _lagged_design, _require_full_rank, stack_params
 
 from conftest import VAR2_SPEC, make_frame, v1_model_text
 from test_linalg import gauss_solve
@@ -252,8 +252,10 @@ class TestInformationCriteria:
         )
 
     def test_fpe_formula_point(self):
-        _, _, fpe, _ = _criteria(np.eye(2), 100, ("a", "b"), 1)
-        assert fpe == pytest.approx((103.0 / 97.0) ** 2, abs=1e-12)
+        frame = sv.simulate_var(VAR2_SPEC, 60, seed=5)
+        fpe = sv.select_order(frame, 3).table[:, 2]
+        oracle = per_lag_criteria(np.asarray(frame.values), 3)[:, 2]
+        assert fpe == pytest.approx(oracle, rel=1e-12)
 
     def test_white_noise_prefers_lag_zero(self):
         # comparable-sample AIC at lag 0 vs lag 5 on pure noise
@@ -266,7 +268,7 @@ class TestInformationCriteria:
 
     def test_determinant_underflow_reported(self):
         with pytest.raises(NumericError, match="underflow"):
-            _criteria(np.zeros((1, 1)), 50, ("y",), 1)
+            sv.select_order(make_frame({"y": [0.0] * 50}), 0)
 
 
 class TestSelectOrder:
@@ -400,12 +402,20 @@ class TestUnitFree:
         for name in ("responses", "lower", "upper"):
             assert np.array_equal(getattr(res, name), getattr(bands, name) * c[:, None])
 
-    @given(powers=st.lists(st.integers(-40, 40), min_size=5, max_size=5))
+    @given(powers=st.lists(st.integers(-150, 100), min_size=5, max_size=5))
     @settings(max_examples=10, deadline=None)
     def test_order_selection_keeps_its_choice(self, dataset_frame, powers):
+        # from 2^110 the final prediction error overflows, by design
         want = sv.select_order(dataset_frame, 15)
         got = sv.select_order(scaled(dataset_frame, powers)[0], 15)
         assert (got.selected, got.minima) == (want.selected, want.minima)
+
+    @pytest.mark.parametrize("power", [-110, -200, -300])
+    def test_fpe_keeps_its_choice_where_its_value_underflows(self, dataset_frame, power):
+        # det(sigma) underflows to 0 at every lag, but its log does not
+        want = sv.select_order(dataset_frame, 15)
+        got = sv.select_order(scaled(dataset_frame, [power] * 5)[0], 15)
+        assert got.minima == want.minima
 
     @pytest.mark.parametrize("scale", [1e160, 1e-160])
     def test_cross_product_overflow_is_data_error(self, dataset_frame, scale):
