@@ -127,11 +127,12 @@ def main() -> None:
           f"mean {stats.mean:.2f}, sd {stats.sd:.2f}, range [{stats.min:.0f}, {stats.max:.0f}]")
     merged = sv.impute(merged)
     fit = sv.fit_var(merged, 2)
-    for res in sv.granger_all_pairs(fit, "score"):
+    results = sv.granger_all_pairs(fit, "score")
+    for res in results:
         flag = "SIGNIFICANT" if res.reject_null else "not significant"
         print(f"score -> {res.caused[0]:<9} F={res.statistic:7.3f}  p={res.p_value:.4f}  {flag}")
     expected = {"depressed": True, "anxious": True, "irritable": False, "elevated": False}
-    got = {r.caused[0]: r.reject_null for r in sv.granger_all_pairs(fit, "score")}
+    got = {r.caused[0]: r.reject_null for r in results}
     assert got == expected, f"planted-link story broken: {got}"
 
 

@@ -149,6 +149,9 @@ def _f_tails(x: float, df_num: float, df_den: float) -> tuple[float, float]:
         log_u, log_v = math.log(u), math.log1p(-u)
     else:
         log_u, log_v = math.log1p(-v), math.log(v)
+        if v < sys.float_info.min:  # a subnormal v keeps too few bits: log its parts
+            log_v = (math.log(df_den) - math.log(s) if s < math.inf
+                     else math.log(df_den) - math.log(df_num) - math.log(x))
     front = math.exp(a * log_u + b * log_v - _log_beta(a, b))
     if u < (a + 1.0) / (a + b + 2.0):
         return 1.0 - front * _beta_cf(a, b, u, v) / a, front

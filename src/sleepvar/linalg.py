@@ -297,34 +297,15 @@ def cholesky_lower(m) -> np.ndarray:
         raise  # unreachable: the whole matrix fails only where a leading block does
 
 
-def spectral_radius(m) -> float:
-    """Largest eigenvalue modulus of a square matrix (0.0 for an empty one)."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise DataError(f"matrix must be square, got shape {a.shape}")
+def stability_radius(coef: np.ndarray) -> float:
+    """Spectral radius of the companion of a checked (p, K, K) lag stack, 0.0 at p = 0:
+    [A1 ... Ap] over the identities K rows below the diagonal (Lütkepohl 2005, 2.1)."""
+    p, k = coef.shape[0], coef.shape[1]
+    comp = np.eye(k * p, k=-k)
+    if p:
+        comp[:k] = coef.transpose(1, 0, 2).reshape(k, k * p)
     try:
-        eig = np.linalg.eigvals(a)
+        eig = np.linalg.eigvals(comp)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue computation failed to converge: {exc}") from exc
     return float(np.abs(eig).max(initial=0.0))
-
-
-def companion_matrix(coef: np.ndarray) -> np.ndarray:
-    """Companion form of a stack of lag matrices, shape (K*p, K*p).
-
-    ``coef`` has shape (p, K, K); the top block row is [A1 ... Ap] and the
-    subdiagonal carries identities.  For p == 0 the result is empty.
-    """
-    coef = np.asarray(coef, dtype=float)
-    if coef.ndim != 3 or coef.shape[1] != coef.shape[2]:
-        raise DataError(f"lag stack must have shape (p, K, K), got {coef.shape}")
-    p, k = coef.shape[0], coef.shape[1]
-    comp = np.eye(k * p, k=-k)  # the identities, K rows below the diagonal
-    if p:
-        comp[:k] = coef.transpose(1, 0, 2).reshape(k, k * p)
-    return comp
-
-
-def stability_radius(coef: np.ndarray) -> float:
-    """Companion spectral radius of a (p, K, K) lag stack; 0.0 when p = 0."""
-    return spectral_radius(companion_matrix(coef))

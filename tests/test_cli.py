@@ -658,13 +658,16 @@ class TestIdempotence:
         for path in map(Path, quickstart_files.values()):  # the shared inputs are these bytes
             assert path.read_bytes() == (a / path.name).read_bytes(), path.name
 
-    def test_irf_bytes_independent_of_blas_threads(self, quickstart_files, tmp_path):
+    @pytest.mark.parametrize("mode", [(), ("--empirical",), ("--no-orth",)],
+                             ids=["default", "empirical", "no-orth"])
+    def test_irf_bytes_independent_of_blas_threads(self, quickstart_files, tmp_path, mode):
         outputs = []
         for threads in (1, 2):
-            out = tmp_path / f"irf{threads}.csv"
+            csv, svg = tmp_path / f"irf{threads}.csv", tmp_path / f"irf{threads}.svg"
             run_python("-m", "sleepvar.cli", "irf", quickstart_files["model"], "--replications",
-                       "120", "--seed", "0", "-o", str(out), threads=threads)
-            outputs.append(out.read_bytes())
+                       "120", "--seed", "0", "-o", str(csv), "--svg", str(svg), *mode,
+                       threads=threads)
+            outputs.append((csv.read_bytes(), svg.read_bytes()))
         assert outputs[0] == outputs[1]
 
     def test_select_order_bytes_independent_of_blas_threads(self, quickstart_files):

@@ -66,7 +66,7 @@ class TestFDistribution:
 
     def test_tails_where_df_num_times_x_overflows(self):
         # F(2, 2)'s survival function is 1 / (1 + x), and 2 x overflows above 9e307
-        assert f_sf(1e308, 2, 2) == pytest.approx(1e-308, rel=1e-12)
+        assert f_sf(1e308, 2, 2) == pytest.approx(1e-308, rel=1e-12, abs=0.0)
         for alpha in (1e-308, 6e-309):
             assert f_isf(alpha, 2, 2) == pytest.approx(1.0 / alpha - 1.0, rel=1e-12)
 
@@ -119,6 +119,17 @@ class TestFDistributionOracle:
             u = df_num * xm / (df_num * xm + df_den)
             sf = mp.betainc(mp.mpf(df_den) / 2, mp.mpf(df_num) / 2, 0, 1 - u, regularized=True)
             assert f_sf(x, df_num, df_den) == pytest.approx(float(sf), rel=1e-13), x
+
+    @pytest.mark.parametrize("x, df_num, df_den", [(1e308, 10**6, 1), (1e306, 10**6, 2)])
+    def test_tails_where_one_minus_u_is_subnormal(self, x, df_num, df_den):
+        # 1 - u = df_den / (df_num x + df_den) below the smallest normal float
+        # keeps fewer bits (about 31 at x = 1e308), and its log moved the tail
+        # by up to 1.8e-11; the reference is a 50-digit incomplete beta
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        w = mp.mpf(df_den) / (df_num * mp.mpf(x) + df_den)
+        sf = mp.betainc(mp.mpf(df_den) / 2, mp.mpf(df_num) / 2, 0, w, regularized=True)
+        assert f_sf(x, df_num, df_den) == pytest.approx(float(sf), rel=1e-13, abs=0.0)
 
     def test_dataset_granger_tails(self, f_ref, dataset_fit):
         for res in sv.granger_all_pairs(dataset_fit, "score"):

@@ -13,17 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sleepvar as sv
-from sleepvar.errors import DataError, NotPositiveDefiniteError, SingularDesignError
+from sleepvar.errors import (
+    ConvergenceError, DataError, NotPositiveDefiniteError, SingularDesignError,
+)
 from sleepvar.linalg import (
     HOLDS_BLAS_THREADS,
     OneBlasThread,
     augmented_r,
     cholesky_lower,
-    companion_matrix,
     one_blas_thread,
     solve_augmented,
     solve_least_squares,
-    spectral_radius,
+    stability_radius,
 )
 from sleepvar.simulate import substream
 from sleepvar.var import _lagged_design
@@ -435,43 +436,51 @@ class TestCholesky:
         assert again.tobytes() == np.linalg.cholesky(low @ low.T).tobytes()
 
 
-class TestSpectralRadius:
+class TestStabilityRadius:
     def test_diagonal(self):
-        assert spectral_radius(np.diag([0.5, -0.2])) == pytest.approx(0.5, abs=1e-12)
+        assert stability_radius(np.array([np.diag([0.5, -0.2])])) == pytest.approx(0.5, abs=1e-12)
 
-    def test_scalar_ar1_companion(self):
-        comp = companion_matrix(np.array([[[0.9]]]))
-        assert spectral_radius(comp) == pytest.approx(0.9, abs=1e-12)
+    def test_scalar_ar1(self):
+        assert stability_radius(np.array([[[0.9]]])) == pytest.approx(0.9, abs=1e-12)
 
-    def test_var2_companion_quadratic_root(self):
+    def test_var2_quadratic_root(self):
         # max modulus root of z^2 - 0.5 z - 0.3 by the quadratic formula
-        comp = companion_matrix(np.array([0.5 * np.eye(2), 0.3 * np.eye(2)]))
         expected = (0.5 + np.sqrt(0.25 + 1.2)) / 2.0
-        assert spectral_radius(comp) == pytest.approx(expected, abs=1e-10)
+        coef = np.array([0.5 * np.eye(2), 0.3 * np.eye(2)])
+        assert stability_radius(coef) == pytest.approx(expected, abs=1e-10)
 
-    def test_empty_matrix(self):
-        assert spectral_radius(np.zeros((0, 0))) == 0.0
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DataError, match="square"):
-            spectral_radius(np.ones((2, 3)))
-
-    @given(st.floats(-4.0, 4.0), st.integers(0, 500))
-    @settings(max_examples=40)
-    def test_absolute_homogeneity(self, c, seed):
-        m = substream(seed, 5).standard_normal((4, 4))
-        assert spectral_radius(c * m) == pytest.approx(
-            abs(c) * spectral_radius(m), rel=1e-9, abs=1e-12
+    def test_lag_order_matters(self):
+        # A_j = a_j E with idempotent E: the roots are those of z^2 - a1 z - a2
+        # and two zeros; (a1, a2) = (-0.5, 0.6) has one at -1.064, and swapped,
+        # the roots are complex of modulus sqrt(0.5)
+        e = np.array([[1.0, -1.0], [0.0, 0.0]])
+        assert stability_radius(np.multiply.outer((-0.5, 0.6), e)) == pytest.approx(
+            (0.5 + np.sqrt(0.25 + 2.4)) / 2.0, abs=1e-12
+        )
+        assert stability_radius(np.multiply.outer((0.6, -0.5), e)) == pytest.approx(
+            np.sqrt(0.5), abs=1e-12
         )
 
+    def test_var0(self):
+        assert stability_radius(np.zeros((0, 3, 3))) == 0.0
 
-class TestCompanion:
-    def test_blocks(self):
-        a1 = np.array([[1.0, 2.0], [3.0, 4.0]])
-        a2 = np.array([[5.0, 6.0], [7.0, 8.0]])
-        comp = companion_matrix(np.stack([a1, a2]))
-        assert comp.shape == (4, 4)
-        assert np.array_equal(comp[:2, :2], a1)
-        assert np.array_equal(comp[:2, 2:], a2)
-        assert np.array_equal(comp[2:, :2], np.eye(2))
-        assert np.array_equal(comp[2:, 2:], np.zeros((2, 2)))
+    def test_eigenvalue_failure_is_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(ConvergenceError) as err:
+            stability_radius(np.array([[[0.5]]]))
+        assert str(err.value) == (
+            "eigenvalue computation failed to converge: Eigenvalues did not converge"
+        )
+
+    @given(st.floats(-4.0, 4.0), st.integers(1, 3), st.integers(0, 500))
+    @settings(max_examples=40)
+    def test_absolute_homogeneity(self, c, p, seed):
+        # scaling each A_j by c^j scales every companion eigenvalue by c
+        coef = substream(seed, 5).standard_normal((p, 2, 2))
+        scaled = coef * c ** np.arange(1, p + 1)[:, None, None]
+        assert stability_radius(scaled) == pytest.approx(
+            abs(c) * stability_radius(coef), rel=1e-9, abs=1e-12
+        )
